@@ -55,6 +55,12 @@ def test_many_sender_simulation_rate(benchmark):
     assert delivered > 500
 
 
+def test_many_sender_build_rate(benchmark):
+    """Set-up cost alone: 100-sender ``build_simulation`` calls."""
+    flows = benchmark(workloads.run_build_many_senders)
+    assert flows == 5_000
+
+
 def test_fluid_dumbbell_rate(benchmark):
     """The RemyCC dumbbell on the vectorized fluid backend."""
     delivered = benchmark(workloads.run_fluid_dumbbell)

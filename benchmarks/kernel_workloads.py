@@ -23,6 +23,7 @@ from repro.sim.engine import Simulator
 __all__ = ["demo_tree", "lookup_vectors", "spin_event_loop",
            "run_newreno_flow", "run_dctcp_flow", "run_pcc_flow",
            "run_remycc_flow", "run_many_senders",
+           "run_build_many_senders",
            "run_whisker_lookups", "run_compiled_lookups",
            "run_fluid_dumbbell", "run_fluid_kilosenders",
            "run_packet_kilosenders"]
@@ -154,6 +155,21 @@ def run_many_senders(duration_s: float = 3.0) -> int:
     return sum(f.packets_delivered for f in result.flows)
 
 
+def run_build_many_senders(builds: int = 50) -> int:
+    """``build_simulation`` calls on a 100-sender dumbbell, never run:
+    the set-up cost a short many-sender task pays before its first
+    event (topology, routes, senders, receivers, workloads).  The unit
+    is one flow set up (100 per build), which keeps the normalized rate
+    inside the six decimals the baseline file records."""
+    config = NetworkConfig(
+        link_speeds_mbps=(15.0,), rtt_ms=150.0,
+        sender_kinds=("newreno",) * 100,
+        mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0)
+    for _ in range(builds):
+        build_simulation(config, seed=1)
+    return builds * config.num_senders
+
+
 def run_fluid_dumbbell(duration_s: float = 10.0) -> int:
     """The RemyCC dumbbell on the fluid backend (batched whisker
     lookups through the flat compiled tables every control interval)."""
@@ -168,30 +184,33 @@ def run_fluid_dumbbell(duration_s: float = 10.0) -> int:
     return sum(f.packets_delivered for f in run.flows)
 
 
-def _kilosender_config() -> NetworkConfig:
-    """1000 on/off NewReno senders into one 15 Mbps bottleneck — the
-    sweep shape the fluid backend exists for.  Shared by the fluid
-    workload and its packet-engine twin so the speedup gate times the
-    exact same scenario on both."""
+def _kilosender_config(link_mbps: float) -> NetworkConfig:
+    """1000 on/off NewReno senders into one bottleneck — the sweep
+    shape the fluid backend exists for.  Shared by the fluid workload
+    and its packet-engine twin so the speedup gate times the exact
+    same scenario on both."""
     return NetworkConfig(
-        link_speeds_mbps=(15.0,), rtt_ms=150.0,
+        link_speeds_mbps=(link_mbps,), rtt_ms=150.0,
         sender_kinds=("newreno",) * 1000,
         mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0)
 
 
-def run_fluid_kilosenders(duration_s: float = 2.0) -> int:
+def run_fluid_kilosenders(duration_s: float = 2.0,
+                          link_mbps: float = 15.0) -> int:
     """Total packets in the 1000-sender scenario on the fluid backend."""
     from repro.sim.fluid import simulate_fluid
 
-    run = simulate_fluid(_kilosender_config(), seeds=(1,),
+    run = simulate_fluid(_kilosender_config(link_mbps), seeds=(1,),
                          duration_s=duration_s)[0]
     return sum(f.packets_delivered for f in run.flows)
 
 
-def run_packet_kilosenders(duration_s: float = 2.0) -> int:
+def run_packet_kilosenders(duration_s: float = 2.0,
+                           link_mbps: float = 15.0) -> int:
     """The same 1000-sender scenario on the packet engine (seconds per
-    run — only the speedup gate times it, never the regression loop)."""
-    handle = build_simulation(_kilosender_config(), seed=1)
+    run at the speedup gate's link rate — only that gate times it,
+    never the regression loop)."""
+    handle = build_simulation(_kilosender_config(link_mbps), seed=1)
     result = handle.run(duration_s)
     return sum(f.packets_delivered for f in result.flows)
 

@@ -370,8 +370,9 @@ def run_experiment(spec: ExperimentSpec,
     replications into long-form :class:`SweepResult` rows.
 
     ``backend="fluid"`` runs every cell on the vectorized fluid model
-    instead of the packet engine: orders of magnitude faster on large
-    grids, at the fidelity documented in ``docs/PERFORMANCE.md``.
+    instead of the packet engine: faster when a task carries many
+    packets (fast links, long runs), slower when it carries few — see
+    "Where it pays" and the fidelity bands in ``docs/PERFORMANCE.md``.
     """
     points, plans = expand(spec, scale)
     tree_maps = _resolve_trees(plans, trees)

@@ -33,6 +33,7 @@ from ..remy.tree import WhiskerTree
 from ..sim.codel import CoDelQueue
 from ..sim.dynamics import DynamicsDriver
 from ..sim.engine import Simulator
+from ..sim.link import Link
 from ..sim.queues import DropTailQueue, QueueDiscipline
 from ..sim.sfq_codel import SfqCoDelQueue
 from ..sim.tracing import QueueTrace
@@ -46,6 +47,15 @@ __all__ = ["Scale", "SimulationHandle", "build_simulation", "run_config",
            "run_seeds", "run_seeds_parallel", "run_seed_batch",
            "scored_flows", "mean_normalized_score",
            "QUICK", "DEFAULT", "FULL"]
+
+
+def _bottleneck_links(config: NetworkConfig,
+                      built: BuiltTopology) -> List[Link]:
+    """The capacitated links of the configured topology — the ones
+    ``config.link_speeds_mbps`` describes, in that order."""
+    if config.topology == "dumbbell":
+        return [built.link("A", "B")]
+    return [built.link("A", "B"), built.link("B", "C")]
 
 
 class SimulationHandle:
@@ -77,9 +87,7 @@ class SimulationHandle:
 
     def bottleneck_links(self):
         """The capacitated links of the configured topology."""
-        if self.config.topology == "dumbbell":
-            return [self.built.link("A", "B")]
-        return [self.built.link("A", "B"), self.built.link("B", "C")]
+        return _bottleneck_links(self.config, self.built)
 
     def run(self, duration_s: float) -> RunResult:
         """Run to ``duration_s`` and collect per-flow statistics."""
@@ -194,11 +202,8 @@ def build_simulation(
         # that it runs pre-traffic — it merely schedules events, and
         # the per-link RNG streams are disjoint from the workload
         # streams, so static scenarios are untouched.
-        if config.topology == "dumbbell":
-            dyn_links = [built.link("A", "B")]
-        else:
-            dyn_links = [built.link("A", "B"), built.link("B", "C")]
-        DynamicsDriver(sim, dyn_links, config.dynamics, seed=seed).start()
+        DynamicsDriver(sim, _bottleneck_links(config, built),
+                       config.dynamics, seed=seed).start()
 
     controllers: List[CongestionController] = []
     senders: List[FlowSender] = []
@@ -229,11 +234,7 @@ def build_simulation(
 
     traces: Dict[str, QueueTrace] = {}
     if trace_queues:
-        if config.topology == "dumbbell":
-            bottlenecks = [built.link("A", "B")]
-        else:
-            bottlenecks = [built.link("A", "B"), built.link("B", "C")]
-        for link in bottlenecks:
+        for link in _bottleneck_links(config, built):
             traces[link.name] = QueueTrace(link.queue)
 
     return SimulationHandle(sim, built, config, controllers, senders,

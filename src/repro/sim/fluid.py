@@ -674,7 +674,12 @@ def simulate_fluid(config: NetworkConfig,
             if due.any():
                 rtt_r = np.where(np.isfinite(vg_round_min),
                                  vg_round_min, vg_base)
-                diff = w * (1.0 - vg_base / np.maximum(rtt_r, 1e-9))
+                # Lanes never ACKed hold base = rtt = inf; they are not
+                # due, so leave their ratio at 1 rather than inf / inf.
+                ratio = np.divide(vg_base, np.maximum(rtt_r, 1e-9),
+                                  where=np.isfinite(vg_base),
+                                  out=np.ones_like(vg_base))
+                diff = w * (1.0 - ratio)
                 ss = due & vg_in_ss
                 exit_ss = ss & (diff > 1.0)
                 w = np.where(exit_ss, w - diff, w)

@@ -66,5 +66,5 @@ def dumbbell(n_senders: int,
         sender, receiver = f"s{i}", f"r{i}"
         topo.add_duplex_link(sender, "A", LinkSpec(math.inf, 0.0))
         topo.add_duplex_link("B", receiver, LinkSpec(math.inf, 0.0))
-        topo.add_flow(sender, receiver, flow_id=i)
+        topo.add_flow(sender, receiver, flow_id=i, via=("A", "B"))
     return topo

