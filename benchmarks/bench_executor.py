@@ -59,37 +59,3 @@ def test_run_batch_pool_two_workers(benchmark):
         for a, b in zip(serial, results[:2]):
             assert [f.delivered_bytes for f in a.run.flows] \
                 == [f.delivered_bytes for f in b.run.flows]
-
-
-def test_run_batch_store_replay(benchmark, tmp_path):
-    """Fully-cached replay through the disk-backed result store.
-
-    Times the resume floor: every task is a store hit, so this is pure
-    shard parse + result decode with zero simulation.  A fresh
-    ResultStore per round forces the cold read path — the cost a
-    resumed sweep actually pays before its first miss.
-    """
-    from repro.exec import ResultStore, StoreExecutor
-
-    banner("executor throughput — store replay (all hits)",
-           "shard parse + decode, no simulation")
-    tasks = _grid()
-    path = tmp_path / "results.store"
-    StoreExecutor(SerialExecutor(), store=path).run_batch(tasks)
-
-    def replay():
-        executor = StoreExecutor(SerialExecutor(),
-                                 store=ResultStore(path))
-        return executor, executor.run_batch(tasks)
-
-    executor, results = benchmark.pedantic(replay, rounds=3,
-                                           iterations=1)
-    assert len(results) == len(tasks)
-    assert executor.hits == len(tasks) and executor.misses == 0
-
-    # Replayed results match live simulation bitwise (the store's
-    # round-trip contract, re-checked where it is cheapest).
-    serial = SerialExecutor().run_batch(tasks[:2])
-    for a, b in zip(serial, results[:2]):
-        assert [f.delivered_bytes for f in a.run.flows] \
-            == [f.delivered_bytes for f in b.run.flows]

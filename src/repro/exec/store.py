@@ -40,6 +40,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -157,6 +158,23 @@ def _parse_record(line: bytes, payload: str = "result"
     return record
 
 
+#: How every line ``put`` / ``gc`` / ``evict`` write starts (sorted keys,
+#: compact separators, ASCII with non-ASCII escaped): enough to file a
+#: line under the key it claims without parsing it.  A line that starts
+#: any other way (spaced, reordered, torn inside the key, an escape in
+#: it) is parsed when its shard is loaded instead.
+_CLAIMED_KEY = re.compile(rb'\{"key":"([ !#-\[\]-~]*)"')
+
+
+def _scan_lines(path: str, payload: str = "result"):
+    """Parse every non-blank line of one file eagerly: yields the
+    record, or ``None`` for an unusable line."""
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                yield _parse_record(line, payload)
+
+
 def _atomic_write(path: str, data: bytes) -> None:
     handle, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    prefix=".tmp-")
@@ -209,7 +227,8 @@ class ResultStore:
         is there yet.  ``--resume`` uses this so a typo'd path fails
         fast instead of silently recomputing a finished sweep.
 
-    Shards are loaded lazily and cached per process; appends from other
+    A shard is read on first touch, its records parsed one at a time as
+    they are asked for, and cached per process; appends from other
     processes after a shard is cached are picked up on the next open
     (the resume workflow: write during a run, read at the next start).
     """
@@ -218,7 +237,7 @@ class ResultStore:
                  require_exists: bool = False):
         self.path = str(path)
         self._shards_dir = os.path.join(self.path, _SHARDS)
-        self._cache: Dict[str, Dict[str, dict]] = {}
+        self._cache: Dict[str, Dict[str, Union[dict, list]]] = {}
         self._quarantine_cache: Optional[Dict[str, dict]] = None
         if os.path.exists(self.path) and not os.path.isdir(self.path):
             raise StoreSchemaError(
@@ -266,28 +285,65 @@ class ResultStore:
                       for name in os.listdir(self._shards_dir)
                       if name.endswith(".jsonl"))
 
-    def _load_shard(self, shard: str) -> Dict[str, dict]:
+    def _load_shard(self, shard: str) -> Dict[str, Union[dict, list]]:
+        """One file read per shard; parsing waits for :meth:`_payload`.
+
+        An entry is a validated payload (``dict``) or the key's
+        candidates in file order (``list``): raw lines filed under the
+        key they claim, and payloads of lines that had to be parsed to
+        learn their key.
+        """
         loaded = self._cache.get(shard)
         if loaded is not None:
             return loaded
-        records: Dict[str, dict] = {}
+        records: Dict[str, Union[dict, list]] = {}
         path = self._shard_path(shard)
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                for line in fh:
+                lines = fh.read().split(b"\n")
+            for line in lines:
+                claim = _CLAIMED_KEY.match(line)
+                if claim is None:
                     record = _parse_record(line)
                     if record is not None:
+                        # Valid and later than all it follows.
                         records[record["key"]] = record["result"]
+                    continue
+                key = claim.group(1).decode("ascii")
+                earlier = records.get(key)
+                if type(earlier) is list:
+                    earlier.append(line)
+                else:
+                    records[key] = [line] if earlier is None \
+                        else [earlier, line]
         self._cache[shard] = records
         return records
 
+    def _payload(self, key: str) -> Optional[dict]:
+        """The last *valid* record filed under ``key``, parsed at first
+        touch and memoized in place of its candidates."""
+        records = self._load_shard(self._shard_of(key))
+        entry = records.get(key)
+        if type(entry) is not list:
+            return entry
+        for candidate in reversed(entry):
+            if type(candidate) is not dict:
+                record = _parse_record(candidate)
+                if record is None or record["key"] != key:
+                    continue
+                candidate = record["result"]
+            records[key] = candidate
+            return candidate
+        del records[key]
+        return None
+
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimTaskResult]:
-        payload = self._load_shard(self._shard_of(key)).get(key)
+        payload = self._payload(key)
         return None if payload is None else decode_result(payload)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._load_shard(self._shard_of(key))
+        return self._payload(key) is not None
 
     def put(self, key: str, result: SimTaskResult) -> None:
         """Persist one result (atomic single-line append).
@@ -318,7 +374,8 @@ class ResultStore:
     def keys(self) -> Set[str]:
         out: Set[str] = set()
         for shard in self._shard_names():
-            out.update(self._load_shard(shard))
+            out.update(key for key in list(self._load_shard(shard))
+                       if key in self)
         return out
 
     def __len__(self) -> int:
@@ -338,11 +395,9 @@ class ResultStore:
         records: Dict[str, dict] = {}
         path = self._quarantine_path()
         if os.path.exists(path):
-            with open(path, "rb") as fh:
-                for line in fh:
-                    record = _parse_record(line, payload="failure")
-                    if record is not None:
-                        records[record["key"]] = record["failure"]
+            keep, _total = self._read_records(path, payload="failure")
+            records = {key: record["failure"]
+                       for key, record in keep.items()}
         self._quarantine_cache = records
         return records
 
@@ -368,43 +423,28 @@ class ResultStore:
     def _scan(self, deep: bool) -> StoreStats:
         records = corrupt = size = 0
         distinct: Set[str] = set()
-        shards = self._shard_names()
-        for shard in shards:
-            path = self._shard_path(shard)
-            size += os.path.getsize(path)
-            with open(path, "rb") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    record = _parse_record(line)
-                    if record is not None and deep:
-                        try:
-                            decode_result(record["result"])
-                        except (KeyError, TypeError, ValueError):
-                            record = None
-                    if record is None:
-                        corrupt += 1
-                    else:
-                        records += 1
-                        distinct.add(record["key"])
         quarantined: Set[str] = set()
-        quarantine_path = self._quarantine_path()
-        if os.path.exists(quarantine_path):
-            size += os.path.getsize(quarantine_path)
-            with open(quarantine_path, "rb") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    record = _parse_record(line, payload="failure")
-                    if record is not None and deep:
-                        try:
-                            decode_failure(record["failure"])
-                        except (TypeError, ValueError):
-                            record = None
-                    if record is None:
-                        corrupt += 1
-                    else:
-                        quarantined.add(record["key"])
+        shards = self._shard_names()
+        files = [(self._shard_path(shard), "result", decode_result)
+                 for shard in shards]
+        if os.path.exists(self._quarantine_path()):
+            files.append((self._quarantine_path(), "failure",
+                          decode_failure))
+        for path, payload, decode in files:
+            size += os.path.getsize(path)
+            for record in _scan_lines(path, payload):
+                if record is not None and deep:
+                    try:
+                        decode(record[payload])
+                    except (KeyError, TypeError, ValueError):
+                        record = None
+                if record is None:
+                    corrupt += 1
+                elif payload == "failure":
+                    quarantined.add(record["key"])
+                else:
+                    records += 1
+                    distinct.add(record["key"])
         return StoreStats(path=self.path, schema=SCHEMA_VERSION,
                           shards=len(shards), records=records,
                           distinct=len(distinct), corrupt=corrupt,
@@ -440,14 +480,10 @@ class ResultStore:
         plus the raw line count."""
         keep: Dict[str, dict] = {}
         total = 0
-        with open(path, "rb") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                total += 1
-                record = _parse_record(line, payload=payload)
-                if record is not None:
-                    keep[record["key"]] = record
+        for record in _scan_lines(path, payload):
+            total += 1
+            if record is not None:
+                keep[record["key"]] = record
         return keep, total
 
     def gc(self) -> int:
@@ -505,29 +541,32 @@ class ResultStore:
                 return 0.0
 
         shard_keep: Dict[str, Dict[str, dict]] = {}
-        entries: List[Tuple[float, str, str, int]] = []
+        lines: Dict[Tuple[str, str], str] = {}  # canonical, by (shard, key)
+        entries: List[Tuple[float, str, str]] = []
         total = 0
         for shard in self._shard_names():
+            # Replaced below; held through the sweep it would be a
+            # second copy of the store beside ``keep`` and ``lines``.
+            self._cache.pop(shard, None)
             keep, _count = self._read_records(self._shard_path(shard))
             shard_keep[shard] = keep
             for key, record in keep.items():
-                size = len(self._record_line(key, record, "result"))
-                entries.append((age(record), key, shard, size))
-                total += size
+                line = self._record_line(key, record, "result")
+                lines[shard, key] = line
+                entries.append((age(record), key, shard))
+                total += len(line)
         entries.sort()
         evicted = 0
         touched: Set[str] = set()
-        for ts, key, shard, size in entries:
+        for ts, key, shard in entries:
             if total <= max(int(max_bytes), 0):
                 break
             del shard_keep[shard][key]
-            total -= size
+            total -= len(lines[shard, key])
             evicted += 1
             touched.add(shard)
         for shard, keep in shard_keep.items():
-            body = "".join(
-                self._record_line(key, keep[key], "result")
-                for key in sorted(keep))
+            body = "".join(lines[shard, key] for key in sorted(keep))
             _atomic_write(self._shard_path(shard), body.encode())
             self._cache[shard] = {key: record["result"]
                                   for key, record in keep.items()}

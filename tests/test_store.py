@@ -8,12 +8,16 @@ may ever produce a *wrong* answer (a smaller cache is fine, a stale or
 garbled result is not).
 """
 
+import hashlib
 import importlib.util
 import json
 import multiprocessing
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scale import Scale
 from repro.core.scenario import NetworkConfig
@@ -205,6 +209,164 @@ class TestResultStore:
         fresh = ResultStore(tmp_path / "s")
         assert fresh.stats().corrupt == 0
         assert fresh.verify().corrupt == 1
+
+
+# ----------------------------------------------------------------------
+# The lazy read path: a shard line is indexed by the key sniffed off its
+# canonical prefix and parsed only when that key is asked for.
+
+def _key(k, shard="ab"):
+    return shard + hashlib.sha1(str(k).encode()).hexdigest()[2:]
+
+
+def _line(key, payload, schema=SCHEMA_VERSION, canonical=True):
+    """One shard line, as ``put`` writes it or (``canonical=False``) as
+    ``json.dumps`` defaults would: spaces, ``schema`` first."""
+    record = {"schema": schema, "key": key, "result": payload}
+    if canonical:
+        return json.dumps(record, sort_keys=True,
+                          separators=(",", ":")).encode() + b"\n"
+    return json.dumps(record).encode() + b"\n"
+
+
+def _eager_oracle(lines):
+    """The read loop this store had before it went lazy: parse every
+    line, last valid record per key wins."""
+    records = {}
+    for line in b"".join(lines).split(b"\n"):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) \
+                and record.get("schema") == SCHEMA_VERSION \
+                and isinstance(record.get("key"), str) \
+                and isinstance(record.get("result"), dict):
+            records[record["key"]] = record["result"]
+    return records
+
+
+def _store_of(root, lines, shard="ab"):
+    """A store whose one shard holds exactly ``lines``; a fresh open."""
+    ResultStore(root)
+    (Path(root) / "shards" / f"{shard}.jsonl").write_bytes(b"".join(lines))
+    return ResultStore(root)
+
+
+@pytest.fixture(scope="module")
+def payloads():
+    return [encode_result(run_sim_task(task)) for task in small_batch(3)]
+
+
+class TestLazyRead:
+    def test_one_parse_per_served_record(self, tmp_path, payloads,
+                                         monkeypatch):
+        n = 4
+        keys = [_key(k, shard=("ab", "cd")[k % 2]) for k in range(10 * n)]
+        writer = ResultStore(tmp_path / "s")
+        for k, key in enumerate(keys):
+            writer.put(key, decode_result(payloads[k % 3]))
+        store = ResultStore(tmp_path / "s")
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        served = [store.get(key) for key in keys[:n]]
+        assert len(calls) == n
+        assert served == [decode_result(payloads[k % 3]) for k in range(n)]
+        assert store.get(keys[0]) == served[0] and keys[1] in store
+        assert len(calls) == n           # memoized: no second parse
+        assert store.get(_key("absent")) is None
+        assert len(calls) == n           # a miss parses nothing either
+
+    def test_corrupt_duplicate_falls_back_to_the_good_record(
+            self, tmp_path, payloads):
+        key, other = _key(1), _key(2)
+        good = _line(key, payloads[0])
+        later = _line(key, payloads[1])
+        torn = later[:len(later) // 2] + b"\n"
+        garbled = later[:60] + b"\x00\xff" + later[62:]
+        for k, bad in enumerate((torn, garbled)):
+            store = _store_of(tmp_path / f"after{k}", [good, bad])
+            assert store.get(key) == decode_result(payloads[0])
+            store = _store_of(tmp_path / f"before{k}", [bad, later])
+            assert store.get(key) == decode_result(payloads[1])
+        # Two good records: the later one, as ever.
+        store = _store_of(tmp_path / "both", [good, later])
+        assert store.get(key) == decode_result(payloads[1])
+        # A spaced (parsed-at-load) good record, then a torn canonical
+        # duplicate, with an unrelated key between them.
+        store = _store_of(tmp_path / "mixed", [
+            _line(key, payloads[2], canonical=False),
+            _line(other, payloads[0]), torn])
+        assert store.get(key) == decode_result(payloads[2])
+        assert store.keys() == {key, other}
+
+    def test_lines_that_must_read_as_misses(self, tmp_path, payloads):
+        good, claimed, inner, foreign, listy = (_key(k) for k in range(5))
+        # Sniffs as ``claimed``; JSON (last duplicate member wins) says
+        # ``inner``: served under neither.
+        two_keys = b'{"key":"' + claimed.encode() + b'",' \
+            + _line(inner, payloads[0])[1:]
+        assert json.loads(two_keys)["key"] == inner
+        store = _store_of(tmp_path / "s", [
+            _line(good, payloads[0]), two_keys,
+            _line(foreign, payloads[0], schema=SCHEMA_VERSION + 1),
+            _line(listy, [1, 2]), b'{"key":"ab\n'])
+        for key in (claimed, inner, foreign, listy, "ab"):
+            assert store.get(key) is None
+            assert key not in store
+        assert store.keys() == {good}
+        assert len(store) == 1
+        # keys() first, on a fresh open, agrees.
+        assert ResultStore(tmp_path / "s").keys() == {good}
+
+    def test_differently_written_record_is_served(self, tmp_path,
+                                                  payloads):
+        key = _key(1)
+        store = _store_of(tmp_path / "s",
+                          [_line(key, payloads[0], canonical=False)])
+        assert key in store
+        assert store.get(key) == decode_result(payloads[0])
+        # A key ``put`` has to escape cannot be read off the prefix.
+        odd = 'ab"é\\'
+        store.put(odd, decode_result(payloads[1]))
+        assert ResultStore(tmp_path / "s").get(odd) \
+            == decode_result(payloads[1])
+
+    @given(spec=st.lists(st.tuples(
+        st.sampled_from(("put", "spaced", "foreign", "torn", "torn_key",
+                         "garbage", "blank")),
+        st.integers(0, 2), st.integers(0, 2),
+        st.floats(0.05, 0.95), st.booleans()), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_reads_equal_the_eager_loop(self, payloads, spec):
+        """Random interleavings of valid, duplicate, foreign, torn
+        (newline-terminated or fused into the next line) and garbage
+        lines over three keys of one shard."""
+        keys = [_key(k) for k in range(3)]
+        lines = []
+        for kind, k, p, cut, newline in spec:
+            line = _line(keys[k], payloads[p], canonical=kind != "spaced",
+                         schema=SCHEMA_VERSION + (kind == "foreign"))
+            if kind == "torn":
+                line = line[:int(len(line) * cut)] + b"\n" * newline
+            elif kind == "torn_key":
+                line = line[:8 + int(40 * cut)] + b"\n" * newline
+            elif kind == "garbage":
+                line = b"\x00\xffnot json\n"
+            elif kind == "blank":
+                line = b"\n"
+            lines.append(line)
+        expected = _eager_oracle(lines)
+        with tempfile.TemporaryDirectory() as root:
+            store = _store_of(root, lines)
+            assert {key: store.get(key) for key in keys} \
+                == {key: decode_result(expected[key])
+                    if key in expected else None for key in keys}
+            assert store.keys() == set(expected) == \
+                ResultStore(root).keys()
+            assert len(store) == len(expected)
 
 
 # ----------------------------------------------------------------------
