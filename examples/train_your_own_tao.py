@@ -14,7 +14,7 @@ Run:  python examples/train_your_own_tao.py        (~2-4 minutes)
 
 from repro import NetworkConfig, Scale, ScenarioRange, run_seeds
 from repro.core.omniscient import omniscient_dumbbell
-from repro.exec import ProcessPoolExecutor
+from repro.exec import SupervisedExecutor
 from repro.remy.evaluator import EvalSettings
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
 
@@ -49,7 +49,7 @@ def main():
         generations=2, max_action_steps=6, time_budget_s=180.0)
 
     print("training a Tao on 5-50 Mbps x 1-4 senders ...")
-    with ProcessPoolExecutor() as executor:
+    with SupervisedExecutor() as executor:
         optimizer = RemyOptimizer(TRAINING_MODEL, eval_settings,
                                   optimizer_settings, executor=executor,
                                   progress=lambda m: print("  " + m))

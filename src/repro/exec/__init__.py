@@ -9,15 +9,13 @@ batch-execution layer:
   descriptions of one run and its output, with a stable fingerprint
   exposed as the universal :func:`cache_key`.
 * :class:`Executor` and its implementations (:class:`SerialExecutor`,
-  :class:`ProcessPoolExecutor` with cost-packed chunks,
-  :class:`SupervisedExecutor` adding retry/timeout/quarantine fault
-  tolerance under a :class:`RetryPolicy`, :class:`CachingExecutor` in
-  memory, :class:`StoreExecutor` on disk).
-* :class:`RemoteExecutor` / :class:`WorkerServer` — multi-host
-  dispatch over TCP (``scripts/worker.py`` daemons) under the same
-  :class:`RetryPolicy` failure contract, with lease-based ownership,
-  session-resuming reconnects, work stealing, and graceful local
-  fallback (``--workers host:port,...`` on the CLIs).
+  :class:`CachingExecutor` in memory, :class:`StoreExecutor` on disk,
+  and the two parallel ones below).
+* :class:`SupervisedExecutor` (local worker processes) and
+  :class:`RemoteExecutor` / :class:`WorkerServer` (``scripts/worker.py``
+  daemons over TCP, ``--workers host:port,...`` on the CLIs) — cost-
+  packed chunks under one scheduler and one :class:`RetryPolicy`
+  failure contract: leases, retry, bisection, quarantine, stealing.
 * :class:`ResultStore` — the sharded, schema-versioned,
   corruption-tolerant on-disk result map behind :class:`StoreExecutor`;
   it makes crashed sweeps resumable and shares results across
@@ -32,18 +30,17 @@ bitwise-identical), and the on-disk store format.
 
 from .batch import executor_for, run_batch
 from .executors import (CachingExecutor, Executor, ProcessPoolExecutor,
-                        SerialExecutor, default_jobs, pack_chunks,
-                        task_cost)
+                        SerialExecutor, default_jobs, pack_chunks)
 from .remote import (RemoteExecutor, RemoteStats, WorkerServer,
                      add_workers_argument, parse_workers, serve_worker,
                      workers_from_args)
 from .store import (SCHEMA_VERSION, ResultStore, StoreExecutor,
                     StoreSchemaError, StoreStats, store_main)
-from .supervise import (RetryPolicy, SupervisedExecutor, SuperviseStats,
-                        TaskFailedError, add_fault_tolerance_arguments,
-                        policy_from_args)
+from .scheduler import RetryPolicy, TaskFailedError
+from .supervise import (SupervisedExecutor, SuperviseStats,
+                        add_fault_tolerance_arguments, policy_from_args)
 from .task import (BACKENDS, SimTask, SimTaskResult, TaskFailure,
-                   cache_key, run_sim_task, run_task_group)
+                   cache_key, run_sim_task, run_task_group, task_cost)
 
 __all__ = [
     "SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",

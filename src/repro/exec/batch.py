@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .executors import Executor, ProgressFn, SerialExecutor
 from .remote import RemoteExecutor
+from .scheduler import RetryPolicy
 from .store import ResultStore, StoreExecutor
-from .supervise import RetryPolicy, SupervisedExecutor
+from .supervise import SupervisedExecutor
 from .task import SimTask, SimTaskResult
 
 __all__ = ["run_batch", "executor_for"]

@@ -16,32 +16,36 @@ to persist each result the moment it exists — which is what makes a
 killed sweep resumable from everything it finished, not just from the
 batches it completed.
 
-Four strategies ship today:
+The strategies:
 
 * :class:`SerialExecutor` — run in-process, in order.  The reference
   implementation the others must match.
-* :class:`ProcessPoolExecutor` — cost-packed chunk fan-out over a
-  lazily-created, reusable ``multiprocessing.Pool``.
+* :class:`ProcessPoolExecutor` — the shell of the two parallel
+  executors: cost-packed chunks handed to the one
+  :class:`~repro.exec.scheduler.Scheduler` over the lanes a subclass
+  provides (:class:`~repro.exec.supervise.SupervisedExecutor`: local
+  worker processes; :class:`~repro.exec.remote.RemoteExecutor`: worker
+  daemons over TCP).
 * :class:`CachingExecutor` — an in-memory wrapper keyed by
   :func:`~repro.exec.task.cache_key`; hits skip execution entirely.
 * :class:`~repro.exec.store.StoreExecutor` — the disk-backed analogue
   (in :mod:`repro.exec.store`), sharing the same cache key.
 
-Future backends (multi-host dispatch) plug in by subclassing
-:class:`Executor`; callers only ever see ``run_batch``/``run_iter``.
+New backends plug in by subclassing :class:`Executor`; callers only
+ever see ``run_batch``/``run_iter``.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
+import itertools
 import os
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..core.scale import PACKET_BYTES
-from .task import (SimTask, SimTaskResult, cache_key, run_sim_task,
-                   run_task_group)
+from .scheduler import Lanes, RetryPolicy, Scheduler
+from .task import (SimTask, SimTaskResult, cache_key, run_task_group,
+                   task_cost, task_units)
 
 __all__ = ["Executor", "SerialExecutor", "ProcessPoolExecutor",
            "CachingExecutor", "default_jobs", "pack_chunks", "task_cost"]
@@ -58,31 +62,11 @@ def default_jobs() -> int:
     host's cores, and sizing the pool to that oversubscribes the few
     CPUs the scheduler will actually grant.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        try:
-            cpus = len(affinity(0))
-        except OSError:
-            cpus = multiprocessing.cpu_count()
-    else:
-        cpus = multiprocessing.cpu_count()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):   # no affinity on this platform
+        cpus = os.cpu_count()
     return max((cpus or 1) - 1, 1)
-
-
-def task_cost(task: SimTask) -> float:
-    """Expected cost of one task, in simulated packet-events.
-
-    The dominant cost of a pure-Python simulation is the number of
-    packet events, which is known *before* running: the task's duration
-    (already set via ``Scale.duration_for``) times the bottleneck packet
-    rate.  Used to pack pool chunks by cost instead of count, so one
-    1000 Mbps run doesn't straggle behind a chunk of 1 Mbps runs.
-    """
-    speeds = (1.0,)
-    if isinstance(task.config, dict):
-        speeds = task.config.get("link_speeds_mbps") or (1.0,)
-    rate_pps = max(speeds) * 1e6 / (8.0 * PACKET_BYTES)
-    return max(task.duration_s, 0.0) * max(rate_pps, 1.0)
 
 
 def pack_chunks(costs: Sequence[float], n_chunks: int) -> List[List[int]]:
@@ -112,19 +96,6 @@ def pack_chunks(costs: Sequence[float], n_chunks: int) -> List[List[int]]:
     # Zero-cost ties can starve a chunk; empties carry no work, drop
     # them rather than ship them to a worker.
     return [sorted(chunk) for chunk in chunks if chunk]
-
-
-def _run_chunk(payload: Tuple[List[int], List[SimTask]]
-               ) -> Tuple[List[int], List[SimTaskResult]]:
-    """Worker-side: run one packed chunk (module-level for pickling).
-
-    Routed through :func:`run_task_group` so a chunk of fluid tasks
-    that differ only by seed collapses into one vectorized call; for
-    packet tasks the group runner degenerates to per-task
-    :func:`run_sim_task`, and fluid batch-invariance keeps the results
-    bitwise-independent of the chunking."""
-    indices, tasks = payload
-    return indices, run_task_group(tasks)
 
 
 class Executor:
@@ -190,16 +161,10 @@ class SerialExecutor(Executor):
     def run_iter(self, tasks: Sequence[SimTask]
                  ) -> Iterator[Tuple[int, SimTaskResult]]:
         tasks = list(tasks)
-        fluid = [i for i, task in enumerate(tasks)
-                 if task.backend == "fluid"]
-        for i, task in enumerate(tasks):
-            if task.backend != "fluid":
-                yield i, run_sim_task(task)
-        if fluid:
-            # One vectorized call per seed batch; batch-invariance makes
-            # this bitwise-identical to running each task alone.
-            yield from zip(fluid,
-                           run_task_group([tasks[i] for i in fluid]))
+        # One vectorized call per fluid seed batch; batch-invariance
+        # makes this bitwise-identical to running each task alone.
+        for unit in task_units(tasks):
+            yield from zip(unit, run_task_group([tasks[i] for i in unit]))
 
     def run_batch(self, tasks: Sequence[SimTask],
                   progress: Optional[ProgressFn] = None
@@ -207,36 +172,40 @@ class SerialExecutor(Executor):
         return self._collect(tasks, progress)
 
 
-class ProcessPoolExecutor(Executor):
-    """Fan tasks out over a ``multiprocessing.Pool``.
+class ProcessPoolExecutor(Executor, Lanes):
+    """What the parallel executors share: chunking and the scheduler.
 
-    The pool is created lazily on the first batch and reused across
-    batches (worker start-up is the dominant fixed cost), so one
-    executor can serve a whole training run or experiment sweep.
+    Not a strategy on its own: ``run_iter`` hands the batch to one
+    :class:`~repro.exec.scheduler.Scheduler`, which applies ``policy``
+    (the failure contract) over the :class:`~repro.exec.scheduler.Lanes`
+    methods a subclass provides; without a subclass ``run_batch``
+    raises ``NotImplementedError``.
 
     Dispatch is chunked.  By default chunks are *cost-packed*: per-task
     costs are known up front (simulated duration x bottleneck packet
-    rate, see :func:`task_cost`), so tasks are packed into ~4 chunks per
-    worker balanced by expected cost rather than count — a heterogeneous
-    sweep (or the cache-miss remainder of a resumed one) can't
-    degenerate into one straggler chunk holding all the expensive runs.
-    An explicit ``chunk_size`` opts back into contiguous count-based
-    chunks.  Results come back in task order regardless of completion
-    order.
+    rate, see :func:`~repro.exec.task.task_cost`), so tasks are packed
+    into ~4 chunks per worker balanced by expected cost rather than
+    count — a heterogeneous sweep (or the cache-miss remainder of a
+    resumed one) can't degenerate into one straggler chunk holding all
+    the expensive runs.  An explicit ``chunk_size`` opts back into
+    contiguous count-based chunks.  Results come back in task order
+    regardless of completion order.
     """
 
+    #: Counters the scheduler and the lanes increment; set by subclasses.
+    stats = None
+    #: Whether idle lanes duplicate the tails of busy ones.
+    steal = False
+
     def __init__(self, jobs: Optional[int] = None,
-                 chunk_size: Optional[int] = None):
+                 chunk_size: Optional[int] = None,
+                 policy: Optional[RetryPolicy] = None):
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or default_jobs()
         self.chunk_size = chunk_size
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(self.jobs)
-        return self._pool
+        self.policy = policy if policy is not None else RetryPolicy()
+        self._aids = itertools.count(1)
 
     def _chunks_for(self, tasks: List[SimTask]) -> List[List[int]]:
         if self.chunk_size is not None:
@@ -249,45 +218,15 @@ class ProcessPoolExecutor(Executor):
     def run_iter(self, tasks: Sequence[SimTask]
                  ) -> Iterator[Tuple[int, SimTaskResult]]:
         tasks = list(tasks)
-        if not tasks:
-            return
-        pool = self._ensure_pool()
-        payloads = [(chunk, [tasks[i] for i in chunk])
-                    for chunk in self._chunks_for(tasks)]
-        # imap_unordered: completed chunks stream back immediately, so
-        # consumers (progress, the disk store) see results as they
-        # exist; _collect reorders to task order at the end.
-        try:
-            for indices, results in pool.imap_unordered(_run_chunk,
-                                                        payloads):
-                yield from zip(indices, results)
-        except GeneratorExit:
-            # Consumer stopped early: the pool is healthy, keep it warm
-            # for the next batch (remaining chunks finish and are
-            # discarded, matching the old semantics).
-            raise
-        except BaseException:
-            # A worker exception (or a worker killed mid-chunk) can
-            # leave the pool broken or wedged; recycle it so the next
-            # run_batch on this executor gets a fresh pool instead of
-            # hanging on a dead one.
-            self.close()
-            raise
+        if tasks:
+            yield from Scheduler(tasks, self._chunks_for(tasks),
+                                 self.policy, self, self.stats,
+                                 self._aids, steal=self.steal).run()
 
     def run_batch(self, tasks: Sequence[SimTask],
                   progress: Optional[ProgressFn] = None
                   ) -> List[SimTaskResult]:
         return self._collect(tasks, progress)
-
-    def close(self) -> None:
-        # Detach before tearing down: if a ^C lands inside terminate()
-        # or join(), the executor is already consistent (no dangling
-        # half-closed pool) and a repeated close() is a clean no-op —
-        # the interrupt itself propagates unmasked.
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
 
 
 class CachingExecutor(Executor):

@@ -1,50 +1,30 @@
-"""Remote execution: ship task batches to worker daemons over TCP.
+"""Remote execution: worker daemons over TCP as scheduler lanes.
 
-:class:`RemoteExecutor` is the multi-host analogue of
+:class:`RemoteExecutor` is the multi-host sibling of
 :class:`~repro.exec.supervise.SupervisedExecutor`: the same cost-packed
-chunking, the same :class:`~repro.exec.supervise.RetryPolicy`, the same
-per-task acks-as-heartbeats, bisection on lost assignments, and
-quarantine semantics — but the "workers" are
-:class:`WorkerServer` daemons (``scripts/worker.py``) reached over
-length-prefixed, CRC-checked frames instead of forked processes reached
-over pipes.  Tasks are already plain-data, fingerprinted payloads
-(:class:`~repro.exec.task.SimTask`), so shipping them to another host
-cannot change what they compute: completed remote results are
-bitwise-identical to a fault-free serial run, pinned by the same golden
-digests as every other executor.
+chunks under the same failure contract (:mod:`repro.exec.scheduler`),
+but its lanes are connections to :class:`WorkerServer` daemons
+(``scripts/worker.py``).  A :class:`~repro.exec.task.SimTask` is plain
+fingerprinted data, so shipping it to another host cannot change what
+it computes.  This module holds what only a socket adds:
 
-Failure contract (the PR-8 semantics, verbatim, over a network):
-
-* **Lease-based ownership** — an assignment's deadline is the policy's
-  slack plus the sum of its unacknowledged tasks' cost-derived budgets;
-  every per-task result message is an ack that shrinks the budget and
-  extends the lease.  A silent worker (hung, partitioned, or just gone)
-  blows its lease, the connection is dropped, and the lost tasks
-  re-dispatch with **bisection** — the PR-8 poison-isolation bound: a
-  task that provably kills whatever runs it is isolated in at most
-  ``log2(chunk)`` resubmissions, then quarantined (or raised).
-* **Reconnect with backoff** — a lost connection retries with
-  exponential backoff under a **resumable session id**: the daemon
-  keeps a per-session result cache keyed by task fingerprint, so
-  re-dispatched tasks that already ran are answered instantly instead
-  of recomputed.  After ``max_reconnects`` consecutive failures the
-  worker is written off as dead.
-* **Straggler mitigation** — when a worker sits idle and nothing is
-  queued, the tail half of the busiest in-flight assignment is
-  *stolen*: re-packed into a speculative duplicate assignment, resolved
-  first-result-wins.  Safe because results are deterministic per
-  fingerprint — whichever copy lands first *is* the answer.
+* **Framing** — length-prefixed, CRC-checked pickled frames.  A frame
+  that fails its magic, length bound, checksum or unpickling means the
+  byte stream has desynced: the lane is reported lost, exactly like
+  EOF.  Messages that decode but are not shaped like the protocol's
+  are ignored before they reach the scheduler.
+* **Sessions and replay** — a lost connection reconnects with
+  exponential backoff under a resumable session id, and the daemon
+  answers re-dispatched tasks from that session's result cache
+  (:class:`WorkerServer`).  After ``max_reconnects`` consecutive
+  failures the worker is written off as dead.
 * **Graceful degradation** — zero reachable workers (at startup or
   mid-batch) falls back to a local
   :class:`~repro.exec.supervise.SupervisedExecutor` with a warning,
   never an error.
-
-Chaos testing rides the same seeded :class:`~repro.exec.faults.FaultPlan`
-scheme: the wire kinds (``conn-drop`` / ``frame-corrupt`` /
-``partition`` / ``delay``) fire at the daemon's *send* boundary — after
-the task ran and was cached — so an injected network fault costs a
-round-trip, not a recompute, and the schedule is a pure function of
-``(plan, fingerprint, attempt)``.
+* **Wire faults** — the ``conn-drop`` / ``frame-corrupt`` /
+  ``partition`` / ``delay`` kinds of :mod:`repro.exec.faults` fire at
+  the daemon's send boundary (:meth:`WorkerServer._send`).
 
 Security note: frames are pickled Python objects.  The checksum detects
 *corruption*, not tampering — run workers only on hosts/networks you
@@ -55,36 +35,29 @@ trust, exactly like any other pickle-based RPC
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import heapq
 import pickle
 import select
 import socket
 import struct
 import threading
 import time
-import traceback
 import uuid
 import warnings
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+                    Tuple, Union)
 
 from . import faults
 from .executors import ProcessPoolExecutor
-from .supervise import (RetryPolicy, SupervisedExecutor, _Assignment,
-                        _units)
-from .task import (SimTask, SimTaskResult, TaskFailure, cache_key,
-                   run_task_group)
+from .scheduler import LOST, RetryPolicy, run_assignment
+from .supervise import SupervisedExecutor
+from .task import SimTask, SimTaskResult
 
 __all__ = ["FrameError", "RemoteExecutor", "RemoteStats", "WorkerServer",
            "add_workers_argument", "parse_workers", "recv_frame",
            "send_frame", "serve_worker", "workers_from_args"]
-
-#: Client poll tick, mirroring the supervisor's.
-_TICK_S = 0.05
 
 # ----------------------------------------------------------------------
 # Wire format: 4-byte magic, big-endian (crc32, length) header, pickled
@@ -93,7 +66,7 @@ _TICK_S = 0.05
 # fails the checksum instead of unpickling garbage.
 
 _MAGIC = b"RPX1"
-_HEADER = struct.Struct(">II")
+_HEADER = struct.Struct(">4sII")
 #: Refuse absurd frame lengths outright — a desynced or hostile stream
 #: must not convince the client to buffer gigabytes.
 _MAX_FRAME = 1 << 28
@@ -120,9 +93,25 @@ def _corrupted(payload: bytes) -> bytes:
 def send_frame(sock: socket.socket, obj, corrupt: bool = False) -> None:
     """Pickle ``obj`` and send it as one checksummed frame."""
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _MAGIC + _HEADER.pack(zlib.crc32(payload) & 0xFFFFFFFF,
-                                   len(payload))
+    header = _HEADER.pack(_MAGIC, zlib.crc32(payload) & 0xFFFFFFFF,
+                          len(payload))
     sock.sendall(header + (_corrupted(payload) if corrupt else payload))
+
+
+def _open_header(header: bytes) -> Tuple[int, int]:
+    """Check a frame header; return its ``(crc, payload length)``."""
+    magic, crc, length = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise FrameError(f"bad frame magic {magic!r}")
+    if length > _MAX_FRAME:
+        raise FrameError(f"frame length {length} exceeds limit")
+    return crc, length
+
+
+def _open_payload(payload: bytes, crc: int):
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise FrameError("frame checksum mismatch")
+    return pickle.loads(payload)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -137,40 +126,53 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def recv_frame(sock: socket.socket):
     """Blocking read of one frame (daemon side / client handshake)."""
-    header = _recv_exact(sock, len(_MAGIC) + _HEADER.size)
-    if header[:len(_MAGIC)] != _MAGIC:
-        raise FrameError(f"bad frame magic {header[:len(_MAGIC)]!r}")
-    crc, length = _HEADER.unpack(header[len(_MAGIC):])
-    if length > _MAX_FRAME:
-        raise FrameError(f"frame length {length} exceeds limit")
-    payload = _recv_exact(sock, length)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameError("frame checksum mismatch")
-    return pickle.loads(payload)
+    crc, length = _open_header(_recv_exact(sock, _HEADER.size))
+    return _open_payload(_recv_exact(sock, length), crc)
 
 
 def _parse_frames(buf: bytearray) -> List:
     """Pop every complete frame off ``buf`` (client's per-conn buffer)."""
     out = []
-    header_len = len(_MAGIC) + _HEADER.size
-    while len(buf) >= header_len:
-        if bytes(buf[:len(_MAGIC)]) != _MAGIC:
-            raise FrameError(f"bad frame magic {bytes(buf[:4])!r}")
-        crc, length = _HEADER.unpack(bytes(buf[len(_MAGIC):header_len]))
-        if length > _MAX_FRAME:
-            raise FrameError(f"frame length {length} exceeds limit")
-        if len(buf) < header_len + length:
+    while len(buf) >= _HEADER.size:
+        crc, length = _open_header(bytes(buf[:_HEADER.size]))
+        end = _HEADER.size + length
+        if len(buf) < end:
             break
-        payload = bytes(buf[header_len:header_len + length])
-        del buf[:header_len + length]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise FrameError("frame checksum mismatch")
-        out.append(pickle.loads(payload))
+        payload = bytes(buf[_HEADER.size:end])
+        del buf[:end]
+        out.append(_open_payload(payload, crc))
     return out
 
 
 # ----------------------------------------------------------------------
 # Worker daemon.
+
+
+class _SessionCache:
+    """One client session's results by task fingerprint, LRU-capped.
+
+    Locked: after a reconnect the thread serving the old connection may
+    still be finishing an assignment under the same session.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._results: "OrderedDict[str, SimTaskResult]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> Optional[SimTaskResult]:
+        with self._lock:
+            result = self._results.get(key)
+            if result is not None:
+                self._results.move_to_end(key)
+            return result
+
+    def put(self, key: str, result: SimTaskResult) -> None:
+        with self._lock:
+            self._results[key] = result
+            self._results.move_to_end(key)
+            while len(self._results) > self._size:
+                self._results.popitem(last=False)
 
 
 class WorkerServer:
@@ -181,7 +183,9 @@ class WorkerServer:
     *session* keyed by task fingerprint, capped LRU at ``cache_size``
     entries — a client that reconnects under its session id and
     re-dispatches tasks whose results were lost in flight gets instant
-    cache hits instead of recomputes.
+    cache hits instead of recomputes.  A session lives until its client
+    says ``bye``; a connection that merely drops keeps it, because that
+    client may be about to resume.
 
     ``injector`` overrides fault injection explicitly (tests); when
     ``None``, the daemon uses :func:`repro.exec.faults.injector_from_env`
@@ -199,7 +203,7 @@ class WorkerServer:
         self.cache_size = max(int(cache_size), 1)
         self._sock: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._sessions: Dict[str, "OrderedDict[str, SimTaskResult]"] = {}
+        self._sessions: Dict[str, _SessionCache] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
 
@@ -260,27 +264,6 @@ class WorkerServer:
                              name="repro-worker-conn",
                              daemon=True).start()
 
-    # -- session cache -----------------------------------------------------
-
-    def _session(self, sid: str) -> "OrderedDict[str, SimTaskResult]":
-        with self._lock:
-            return self._sessions.setdefault(sid, OrderedDict())
-
-    def _cache_get(self, cache, key: str) -> Optional[SimTaskResult]:
-        with self._lock:
-            result = cache.get(key)
-            if result is not None:
-                cache.move_to_end(key)
-            return result
-
-    def _cache_put(self, cache, key: str,
-                   result: SimTaskResult) -> None:
-        with self._lock:
-            cache[key] = result
-            cache.move_to_end(key)
-            while len(cache) > self.cache_size:
-                cache.popitem(last=False)
-
     # -- per-connection protocol -------------------------------------------
 
     def _active_injector(self) -> Optional[faults.FaultInjector]:
@@ -302,23 +285,38 @@ class WorkerServer:
                     and hello[0] == "hello"):
                 return
             sid = hello[1] or uuid.uuid4().hex
-            cache = self._session(sid)
+            with self._lock:
+                cache = self._sessions.setdefault(
+                    sid, _SessionCache(self.cache_size))
             send_frame(sock, ("welcome", sid))
             while not self._stop.is_set():
                 msg = recv_frame(sock)
                 kind = msg[0] if isinstance(msg, tuple) and msg else None
                 if kind == "bye":
+                    # The client has discarded the session id: it can
+                    # never resume, so the cache is garbage.
+                    with self._lock:
+                        self._sessions.pop(sid, None)
                     return
                 if kind == "ping":
                     send_frame(sock, ("pong",))
                 elif kind == "run" and len(msg) == 5:
-                    _, aid, attempt, positions, tasks = msg
-                    self._run_assignment(sock, cache, aid, attempt,
-                                         positions, tasks)
-        except _DropConnection:
-            pass
-        except (FrameError, ConnectionError, OSError, EOFError,
-                pickle.PickleError):
+                    injector = self._active_injector()
+                    attempt = msg[2]
+                    try:
+                        run_assignment(
+                            msg[1:],
+                            lambda message, key: self._send(
+                                sock, injector, key, attempt, message),
+                            injector, cache)
+                    except OSError:
+                        # The client stopped listening mid-assignment
+                        # (say, it abandoned a stolen tail and closed).
+                        # Its ``bye`` may be queued behind the failed
+                        # send: keep reading — that, or EOF, ends this.
+                        continue
+        except (_DropConnection, FrameError, ConnectionError, OSError,
+                EOFError, pickle.PickleError):
             pass
         finally:
             try:
@@ -326,51 +324,17 @@ class WorkerServer:
             except OSError:
                 pass
 
-    def _run_assignment(self, sock, cache, aid: int, attempt: int,
-                        positions: List[int],
-                        tasks: List[SimTask]) -> None:
-        """Run one assignment; per-task result messages double as the
-        client's heartbeat acks, exactly like the local supervised
-        worker's (:func:`repro.exec.supervise._worker_main`)."""
-        injector = self._active_injector()
-        keys = [cache_key(task) for task in tasks]
-        for unit in _units(tasks):
-            cached = [self._cache_get(cache, keys[j]) for j in unit]
-            if all(result is not None for result in cached):
-                # Session replay: the task already ran here (its result
-                # was lost in flight) — answer from cache, skip in-task
-                # faults (the task is not re-executing).
-                outs = cached
-            else:
-                try:
-                    if injector is not None:
-                        for j in unit:
-                            injector.on_task(keys[j], attempt)
-                    outs = run_task_group([tasks[j] for j in unit])
-                except Exception as error:
-                    detail = (type(error).__name__, str(error),
-                              traceback.format_exc())
-                    for j in unit:
-                        send_frame(sock, ("failure", aid, positions[j],
-                                          detail))
-                    continue
-                for j, out in zip(unit, outs):
-                    self._cache_put(cache, keys[j], out)
-            for j, out in zip(unit, outs):
-                self._send_result(sock, injector, keys[j], attempt,
-                                  ("result", aid, positions[j], out))
-        send_frame(sock, ("done", aid))
-
-    def _send_result(self, sock, injector, key: str, attempt: int,
-                     message) -> None:
-        """Send one result frame, applying any scheduled wire fault.
+    def _send(self, sock, injector, key: Optional[str], attempt: int,
+              message) -> None:
+        """Send one frame; on a result (``key`` set), apply any
+        scheduled wire fault.
 
         Faults fire *after* the result is computed and cached, so the
         client's re-dispatch under the same session costs a round-trip,
         not a recompute.
         """
         kind = (injector.on_wire(key, attempt)
-                if injector is not None else None)
+                if injector is not None and key is not None else None)
         if kind == "conn-drop":
             raise _DropConnection(key)
         if kind == "partition":
@@ -423,10 +387,10 @@ class RemoteStats:
 
 
 class _Conn:
-    """One worker address plus its connection/assignment state."""
+    """One worker address plus its connection state."""
 
     __slots__ = ("addr", "sock", "buf", "session", "state", "failures",
-                 "retry_at", "running")
+                 "retry_at")
 
     def __init__(self, addr: Tuple[str, int]):
         self.addr = addr
@@ -437,30 +401,15 @@ class _Conn:
         self.state = "offline"
         self.failures = 0          # consecutive connect failures
         self.retry_at = 0.0
-        self.running: Optional[_Lease] = None
-
-    @property
-    def name(self) -> str:
-        return f"{self.addr[0]}:{self.addr[1]}"
 
 
-class _Lease:
-    """Client-side state for one in-flight remote assignment.
-
-    The remote analogue of :class:`repro.exec.supervise._Running`: the
-    deadline is the lease, per-task result messages are the heartbeats
-    that extend it.
-    """
-
-    __slots__ = ("assignment", "unacked", "budget", "deadline", "done")
-
-    def __init__(self, assignment: _Assignment, budget: float,
-                 deadline: float):
-        self.assignment = assignment
-        self.unacked: Set[int] = set(assignment.positions)
-        self.budget = budget
-        self.deadline = deadline
-        self.done = False
+def _well_formed(msg) -> bool:
+    """Shape check on a decoded frame before the scheduler indexes
+    into it — the peer is another host, not a child of this process."""
+    if not isinstance(msg, tuple) or len(msg) < 2:
+        return False
+    return msg[0] == "done" or (msg[0] in ("result", "failure")
+                                and len(msg) >= 4)
 
 
 def parse_workers(spec: Union[str, Sequence]) -> List[Tuple[str, int]]:
@@ -490,14 +439,14 @@ def parse_workers(spec: Union[str, Sequence]) -> List[Tuple[str, int]]:
 
 
 class RemoteExecutor(ProcessPoolExecutor):
-    """Fan tasks out to remote worker daemons under the PR-8 contract.
+    """Fan tasks out to remote worker daemons.
 
-    A :class:`~repro.exec.executors.ProcessPoolExecutor` subclass (so
-    existing ``isinstance`` dispatch keeps working) whose "pool" is a
-    set of TCP connections to :class:`WorkerServer` daemons.  See the
-    module docstring for the failure semantics; ``policy`` is the same
-    :class:`~repro.exec.supervise.RetryPolicy` the local supervised
-    executor takes.
+    A :class:`~repro.exec.executors.ProcessPoolExecutor` whose lanes
+    are TCP connections to :class:`WorkerServer` daemons, one per
+    listed address.  ``policy`` is the same
+    :class:`~repro.exec.scheduler.RetryPolicy` the local supervised
+    executor takes; ``steal`` lets an idle lane speculatively duplicate
+    the tail of a busy one (first result wins).
 
     ``fallback_jobs`` sizes the local
     :class:`~repro.exec.supervise.SupervisedExecutor` used when zero
@@ -519,9 +468,9 @@ class RemoteExecutor(ProcessPoolExecutor):
         if not addrs:
             raise ValueError("RemoteExecutor needs at least one worker "
                              "address (HOST:PORT)")
-        super().__init__(jobs=len(addrs), chunk_size=chunk_size)
+        super().__init__(jobs=len(addrs), chunk_size=chunk_size,
+                         policy=policy)
         self.addrs = addrs
-        self.policy = policy if policy is not None else RetryPolicy()
         self.stats = RemoteStats()
         self.fallback_jobs = fallback_jobs
         self.connect_timeout_s = connect_timeout_s
@@ -531,14 +480,9 @@ class RemoteExecutor(ProcessPoolExecutor):
         self.steal = steal
         self._conns: List[_Conn] = []
         self._fallback: Optional[SupervisedExecutor] = None
-        self._next_aid = 0
+        self._reachable = False    # some lane was open at batch start
 
     # -- connection lifecycle ---------------------------------------------
-
-    def _ensure_conns(self) -> List[_Conn]:
-        if not self._conns:
-            self._conns = [_Conn(addr) for addr in self.addrs]
-        return self._conns
 
     def _backoff(self, conn: _Conn) -> None:
         conn.failures += 1
@@ -571,7 +515,7 @@ class RemoteExecutor(ProcessPoolExecutor):
             if not (isinstance(msg, tuple) and len(msg) >= 2
                     and msg[0] == "welcome"):
                 sock.close()
-                raise FrameError(f"bad handshake from {conn.name}")
+                raise FrameError("bad handshake")
             conn.session = msg[1]
         except (OSError, FrameError, ConnectionError, EOFError,
                 pickle.PickleError):
@@ -585,9 +529,110 @@ class RemoteExecutor(ProcessPoolExecutor):
             self.stats.reconnects += 1
         return True
 
-    def _lost(self, conn: _Conn) -> Optional[_Lease]:
-        """Drop the connection; return its in-flight lease (if any)."""
-        lease, conn.running = conn.running, None
+    def stranded(self, tasks: List[SimTask], positions: List[int]
+                 ) -> Iterator[Tuple[int, SimTaskResult]]:
+        """Graceful degradation: run ``positions`` on the local
+        supervised pool, warning (not erroring) about the downgrade."""
+        warnings.warn(
+            f"remote execution degraded (no reachable workers); running "
+            f"{len(positions)} task(s) on the local supervised pool",
+            RuntimeWarning, stacklevel=3)
+        self.stats.local_fallbacks += 1
+        if self._fallback is None:
+            self._fallback = SupervisedExecutor(self.fallback_jobs,
+                                                policy=self.policy)
+        stream = self._fallback.run_iter([tasks[pos] for pos in positions])
+        try:
+            for j, result in stream:
+                yield positions[j], result
+        finally:
+            # Deterministic teardown: if this generator is abandoned
+            # mid-stream, close the inner one *now* so the fallback's
+            # busy workers are reaped immediately, not at GC time.
+            stream.close()
+
+    # -- the scheduler's lanes --------------------------------------------
+
+    def begin(self) -> None:
+        if not self._conns:
+            self._conns = [_Conn(addr) for addr in self.addrs]
+        for conn in self._conns:
+            if conn.state in ("offline", "backoff"):
+                self._open(conn)
+        # A cluster that is not there when the batch starts degrades at
+        # once; one that was there is given its reconnect backoffs.
+        self._reachable = any(c.state == "idle" for c in self._conns)
+
+    def exhausted(self) -> bool:
+        states = {conn.state for conn in self._conns}
+        return not (states & {"idle", "busy"}
+                    or self._reachable and "backoff" in states)
+
+    def acquire(self) -> Optional[_Conn]:
+        conn = next((c for c in self._conns if c.state == "idle"), None)
+        if conn is not None:
+            conn.state = "busy"
+        return conn
+
+    def launch(self, conn: _Conn, assignment: tuple) -> bool:
+        try:
+            send_frame(conn.sock, ("run",) + assignment)
+        except (OSError, ConnectionError):
+            return False
+        return True
+
+    def wait(self, timeout: float) -> List[Tuple[_Conn, object]]:
+        now = time.monotonic()
+        for conn in self._conns:
+            if conn.state == "backoff" and now >= conn.retry_at:
+                self._open(conn)
+        by_sock = {conn.sock: conn for conn in self._conns
+                   if conn.state in ("idle", "busy")}
+        if not by_sock:
+            time.sleep(timeout)
+            return []
+        try:
+            readable, _, _ = select.select(list(by_sock), [], [], timeout)
+        except (OSError, ValueError):
+            readable = list(by_sock)
+        events: List[Tuple[_Conn, object]] = []
+        for sock in readable:
+            conn = by_sock[sock]
+            try:
+                while True:
+                    r, _, _ = select.select([sock], [], [], 0)
+                    if not r:
+                        break
+                    data = sock.recv(1 << 16)
+                    if not data:
+                        raise ConnectionError("EOF")
+                    conn.buf.extend(data)
+                msgs = _parse_frames(conn.buf)
+            except (ConnectionError, OSError):
+                events.append((conn, LOST))
+                continue
+            except (FrameError, pickle.PickleError, EOFError,
+                    AttributeError, ValueError, IndexError):
+                self.stats.frame_errors += 1
+                events.append((conn, LOST))
+                continue
+            events.extend((conn, msg) for msg in msgs
+                          if _well_formed(msg))
+        return events
+
+    def release(self, conn: _Conn) -> None:
+        conn.state = "idle"
+
+    #: Nobody waits for the assignment any more, but the socket is
+    #: healthy: keep it warm — late frames carry a stale assignment id
+    #: and are discarded by the scheduler.
+    abandon = release
+
+    def drop(self, conn: _Conn, kind: str) -> None:
+        if kind == "worker-death":
+            self.stats.conn_losses += 1
+        else:
+            self.stats.lease_expiries += 1
         sock, conn.sock = conn.sock, None
         conn.buf = bytearray()
         if sock is not None:
@@ -596,357 +641,14 @@ class RemoteExecutor(ProcessPoolExecutor):
             except OSError:
                 pass
         self._backoff(conn)
-        return lease
-
-    def _ensure_fallback(self) -> SupervisedExecutor:
-        if self._fallback is None:
-            self._fallback = SupervisedExecutor(self.fallback_jobs,
-                                                policy=self.policy)
-        return self._fallback
-
-    def _run_local(self, tasks: List[SimTask], positions: Set[int],
-                   reason: str) -> Iterator[Tuple[int, SimTaskResult]]:
-        """Graceful degradation: run ``positions`` on the local
-        supervised pool, warning (not erroring) about the downgrade."""
-        order = sorted(positions)
-        warnings.warn(
-            f"remote execution degraded ({reason}); running "
-            f"{len(order)} task(s) on the local supervised pool",
-            RuntimeWarning, stacklevel=3)
-        self.stats.local_fallbacks += 1
-        fallback = self._ensure_fallback()
-        stream = fallback.run_iter([tasks[pos] for pos in order])
-        try:
-            for j, result in stream:
-                yield order[j], result
-        finally:
-            # Deterministic teardown: if this generator is abandoned
-            # mid-stream, close the inner one *now* so the fallback's
-            # busy workers are reaped immediately, not at GC time.
-            stream.close()
-
-    # -- the dispatch loop -------------------------------------------------
-
-    def run_iter(self, tasks: Sequence[SimTask]
-                 ) -> Iterator[Tuple[int, SimTaskResult]]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        from .supervise import TaskFailedError
-        policy = self.policy
-        conns = self._ensure_conns()
-        for conn in conns:
-            # Stale state from an abandoned batch: drop the lease, keep
-            # the socket warm.  Late frames carry old assignment ids
-            # and are discarded by the aid check below.
-            conn.running = None
-            if conn.state == "busy":
-                conn.state = "idle"
-            if conn.state in ("offline", "backoff"):
-                self._open(conn)
-        if not any(c.state in ("idle", "busy") for c in conns):
-            yield from self._run_local(tasks, set(range(len(tasks))),
-                                       "no reachable workers")
-            return
-
-        timeouts = [policy.timeout_for(task) for task in tasks]
-        pending: Set[int] = set(range(len(tasks)))
-        attempts: Dict[int, int] = {}
-        resubmits: Dict[int, int] = {}
-        speculated: Set[int] = set()
-        ready: List[Tuple[float, int, _Assignment]] = []
-        emitted: List[Tuple[int, SimTaskResult]] = []
-        fatal: List[Tuple[str, TaskFailure]] = []
-
-        def enqueue(positions: List[int], attempt: int,
-                    ready_at: float) -> None:
-            self._next_aid += 1
-            assignment = _Assignment(self._next_aid, list(positions),
-                                     attempt)
-            heapq.heappush(ready, (ready_at, assignment.aid, assignment))
-
-        def finalize(pos: int, failure: TaskFailure) -> None:
-            if pos not in pending:
-                return
-            pending.discard(pos)
-            failure = dataclasses.replace(
-                failure, resubmissions=resubmits.get(pos, 0))
-            if policy.on_failure == "quarantine":
-                self.stats.quarantined += 1
-                emitted.append((pos, SimTaskResult(failure=failure)))
-            else:
-                fatal.append((cache_key(tasks[pos]), failure))
-
-        def on_message(conn: _Conn, msg) -> None:
-            lease = conn.running
-            if not isinstance(msg, tuple) or len(msg) < 2:
-                return
-            kind, aid = msg[0], msg[1]
-            if lease is None or aid != lease.assignment.aid:
-                return                # stale: abandoned assignment
-            if kind == "done":
-                lease.done = True
-                return
-            if len(msg) < 4:
-                return
-            pos = msg[2]
-            if pos in lease.unacked:
-                # The ack is the heartbeat: shrink the remaining budget
-                # and extend the lease for what's left.
-                lease.unacked.discard(pos)
-                lease.budget -= timeouts[pos]
-                lease.deadline = (time.monotonic()
-                                  + policy.timeout_slack_s
-                                  + max(lease.budget, 0.0))
-            if pos not in pending:
-                return                # speculation: first result won
-            if kind == "result":
-                pending.discard(pos)
-                emitted.append((pos, msg[3]))
-                return
-            if kind != "failure":
-                return
-            error_type, message, tb = msg[3]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                enqueue([pos], count,
-                        time.monotonic() + policy.backoff_for(count))
-            else:
-                finalize(pos, TaskFailure(
-                    kind="exception",
-                    message=f"task raised {error_type}: {message}",
-                    attempts=count, error_type=error_type,
-                    traceback=tb))
-
-        def on_crash(lease: _Lease, kind: str, now: float) -> None:
-            """The lease's worker vanished (conn loss) or went silent
-            past its deadline — the PR-8 bisection/poison logic."""
-            lost = [pos for pos in lease.assignment.positions
-                    if pos in lease.unacked and pos in pending]
-            if not lost:
-                return
-            if len(lost) > 1:
-                self.stats.bisections += 1
-                self.stats.resubmissions += 2
-                for pos in lost:
-                    resubmits[pos] = resubmits.get(pos, 0) + 1
-                mid = (len(lost) + 1) // 2
-                for part in (lost[:mid], lost[mid:]):
-                    enqueue(part, lease.assignment.attempt + 1, now)
-                return
-            pos = lost[0]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if kind == "worker-death" and lease.assignment.attempt > 0:
-                # Bisection-isolated singleton that still took its
-                # connection down: proven poison, same as PR-8.
-                finalize(pos, TaskFailure(
-                    kind="worker-death", attempts=count,
-                    message="connection lost while running this task "
-                            "(isolated by bisection)"))
-                return
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                self.stats.resubmissions += 1
-                resubmits[pos] = resubmits.get(pos, 0) + 1
-                enqueue([pos], count, now + policy.backoff_for(count))
-                return
-            if kind == "timeout" and policy.serial_fallback:
-                # Every lease on this task expired: one undisturbed
-                # in-process run (no injection — this is the client).
-                self.stats.serial_fallbacks += 1
-                try:
-                    result = run_task_group([tasks[pos]])[0]
-                except Exception as error:
-                    finalize(pos, TaskFailure(
-                        kind="timeout", attempts=count + 1,
-                        message=f"lease expired {count} time(s); "
-                                f"serial fallback raised "
-                                f"{type(error).__name__}: {error}",
-                        error_type=type(error).__name__,
-                        traceback=traceback.format_exc()))
-                else:
-                    pending.discard(pos)
-                    emitted.append((pos, result))
-                return
-            what = ("blew its lease" if kind == "timeout"
-                    else "lost its connection")
-            finalize(pos, TaskFailure(
-                kind=kind, attempts=count,
-                message=f"{what} on every one of {count} attempt(s)"))
-
-        def crash(conn: _Conn, kind: str, now: float) -> None:
-            if kind == "worker-death":
-                self.stats.conn_losses += 1
-            lease = self._lost(conn)
-            if lease is not None:
-                on_crash(lease, kind, now)
-
-        def launch(conn: _Conn, assignment: _Assignment,
-                   now: float) -> bool:
-            try:
-                send_frame(conn.sock, (
-                    "run", assignment.aid, assignment.attempt,
-                    list(assignment.positions),
-                    [tasks[pos] for pos in assignment.positions]))
-            except (OSError, ConnectionError):
-                # Never started remotely — no attempt consumed; the
-                # caller requeues the assignment unchanged.
-                self.stats.conn_losses += 1
-                self._lost(conn)
-                return False
-            budget = sum(timeouts[pos]
-                         for pos in assignment.positions)
-            conn.running = _Lease(
-                assignment, budget,
-                now + policy.timeout_slack_s + budget)
-            conn.state = "busy"
-            return True
-
-        def dispatch(now: float) -> None:
-            while ready and ready[0][0] <= now:
-                idle = next((c for c in conns if c.state == "idle"),
-                            None)
-                if idle is None:
-                    return
-                _, _, assignment = heapq.heappop(ready)
-                positions = [pos for pos in assignment.positions
-                             if pos in pending]
-                if not positions:
-                    continue
-                assignment.positions = positions
-                if not launch(idle, assignment, now):
-                    heapq.heappush(ready, (now, assignment.aid,
-                                           assignment))
-
-        def maybe_steal(now: float) -> None:
-            """Idle lane + empty queue: speculatively duplicate the
-            tail half of the busiest in-flight assignment."""
-            if not self.steal:
-                return
-            for idle in [c for c in conns if c.state == "idle"]:
-                if ready and ready[0][0] <= now:
-                    return            # real work exists; dispatch wins
-                victim_tail: Optional[List[int]] = None
-                for victim in conns:
-                    lease = victim.running
-                    if victim.state != "busy" or lease is None:
-                        continue
-                    avail = [pos for pos in lease.assignment.positions
-                             if pos in lease.unacked and pos in pending
-                             and pos not in speculated]
-                    if avail and (victim_tail is None
-                                  or len(avail) > len(victim_tail)):
-                        victim_tail = avail
-                        victim_attempt = lease.assignment.attempt
-                if victim_tail is None:
-                    return
-                tail = victim_tail[len(victim_tail) // 2:]
-                speculated.update(tail)
-                self.stats.steals += 1
-                self.stats.duplicates += len(tail)
-                self._next_aid += 1
-                duplicate = _Assignment(self._next_aid, list(tail),
-                                        victim_attempt)
-                if not launch(idle, duplicate, now):
-                    speculated.difference_update(tail)
-
-        for chunk in self._chunks_for(tasks):
-            enqueue(chunk, 0, 0.0)
-
-        try:
-            while pending:
-                now = time.monotonic()
-                for conn in conns:
-                    if conn.state == "backoff" and now >= conn.retry_at:
-                        self._open(conn)
-                dispatch(now)
-                maybe_steal(now)
-                by_sock = {conn.sock: conn for conn in conns
-                           if conn.state in ("idle", "busy")
-                           and conn.sock is not None}
-                if by_sock:
-                    try:
-                        readable, _, _ = select.select(
-                            list(by_sock), [], [], _TICK_S)
-                    except (OSError, ValueError):
-                        readable = list(by_sock)
-                else:
-                    if not any(c.state == "backoff" for c in conns):
-                        break         # every worker is dead
-                    time.sleep(_TICK_S)
-                    readable = []
-                now = time.monotonic()
-                for sock in readable:
-                    conn = by_sock[sock]
-                    if conn.sock is not sock:
-                        continue      # dropped earlier this tick
-                    try:
-                        while True:
-                            r, _, _ = select.select([sock], [], [], 0)
-                            if not r:
-                                break
-                            data = sock.recv(1 << 16)
-                            if not data:
-                                raise ConnectionError("EOF")
-                            conn.buf.extend(data)
-                        msgs = _parse_frames(conn.buf)
-                    except (ConnectionError, OSError):
-                        crash(conn, "worker-death", now)
-                        continue
-                    except (FrameError, pickle.PickleError, EOFError,
-                            AttributeError, ValueError, IndexError):
-                        self.stats.frame_errors += 1
-                        crash(conn, "worker-death", now)
-                        continue
-                    for msg in msgs:
-                        on_message(conn, msg)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
-                now = time.monotonic()
-                for conn in conns:
-                    lease = conn.running
-                    if conn.state != "busy" or lease is None:
-                        continue
-                    if lease.done:
-                        conn.running = None
-                        conn.state = "idle"
-                    elif now > lease.deadline:
-                        self.stats.lease_expiries += 1
-                        crash(conn, "timeout", now)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
-        except BaseException:
-            # Abort (failure, ^C, or an abandoned generator): drop the
-            # leases but keep healthy sockets warm — late frames from
-            # these assignments are discarded by their stale aids.
-            for conn in conns:
-                conn.running = None
-                if conn.state == "busy":
-                    conn.state = "idle"
-            raise
-        if pending:
-            # Mid-batch total loss: every worker written off with work
-            # still owed.  Degrade, don't die.
-            yield from self._run_local(tasks, pending,
-                                       "all workers lost mid-batch")
 
     def close(self) -> None:
         # Detach everything *first* (same discipline as the local
-        # executors): a repeated close() — e.g. after a mid-batch
+        # executor): a repeated close() — e.g. after a mid-batch
         # fallback already tore things down — is a clean no-op, and
         # the lazily-created fallback pool is released exactly once.
         conns, self._conns = self._conns, []
         fallback, self._fallback = self._fallback, None
-        super().close()
         for conn in conns:
             sock, conn.sock = conn.sock, None
             if sock is not None:

@@ -1,134 +1,31 @@
-"""Supervised fault-tolerant execution.
+"""Supervised local execution: worker processes as scheduler lanes.
 
-:class:`SupervisedExecutor` replaces the bare ``Pool.imap_unordered``
-fan-out with worker processes the supervisor actually *watches*.  The
-raw pool had three failure modes that each killed a whole campaign: a
-task exception unwound the batch, a worker SIGKILLed by the OOM killer
-wedged ``imap_unordered`` forever, and a hung task stalled its chunk
-with no deadline.  Here every one of those degrades to a structured,
-bounded, per-task outcome:
-
-* **In-task exceptions** come back as messages, are retried up to
-  ``RetryPolicy.max_retries`` with exponential backoff, and finally
-  become a :class:`~repro.exec.task.TaskFailure` — either raised as
-  :class:`TaskFailedError` (``on_failure="raise"``, the default) or
-  yielded as a ``SimTaskResult(failure=...)`` variant so the rest of
-  the batch completes (``on_failure="quarantine"``).
-* **Worker death** is detected by EOF on the worker's result pipe (the
-  per-task result messages double as heartbeats/acks).  The lost
-  assignment's unacknowledged tasks are resubmitted with **bisection**:
-  halves keep splitting until the poison task is alone, so it is
-  isolated in at most ``log2(chunk)`` resubmissions while every
-  innocent chunk-mate completes.  A singleton that kills its worker
-  *after* bisection has proved itself poison and is failed immediately
-  rather than fed more workers.
-* **Hangs** are bounded by per-task wall-clock budgets derived from
-  :func:`~repro.exec.executors.task_cost` (or a flat
-  ``--task-timeout``).  A worker that blows its remaining budget is
-  killed and its tasks retried; a task that keeps timing out degrades
-  gracefully to one in-process serial attempt before being failed.
-
-The determinism contract survives all of it: a task is a pure function
-of its fields, so *which* attempt produced a result cannot change the
-result.  Under any injected fault schedule (:mod:`repro.exec.faults`),
-every completed result is bitwise-identical to a fault-free serial run
-— pinned by the golden digests and the chaos suite.
+:class:`SupervisedExecutor` runs batches on worker processes it
+actually *watches*.  The failure contract — retry, lease deadlines,
+bisection, quarantine — is :mod:`repro.exec.scheduler`'s; this module
+supplies only what a pipe transport can know: how to start a worker and
+hand it an assignment, that EOF on its result pipe (the supervisor
+holds no write end) or a dead process means the lane is lost, and that
+a lost, expired or abandoned worker is killed and reaped — a hung task
+cannot be interrupted any other way, and a worker still running a stale
+assignment must not survive into the next batch.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import heapq
 import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 from . import faults
-from .executors import ProcessPoolExecutor, task_cost
-from .task import (SimTask, SimTaskResult, TaskFailure, cache_key,
-                   run_task_group)
+from .executors import ProcessPoolExecutor
+from .scheduler import LOST, RetryPolicy, run_assignment
 
-__all__ = ["RetryPolicy", "SupervisedExecutor", "SuperviseStats",
-           "TaskFailedError", "add_fault_tolerance_arguments",
-           "policy_from_args"]
-
-#: Supervisor poll tick: bounds how stale the liveness/deadline view
-#: can get.  Results still stream back the moment they arrive (the
-#: multiplexed wait returns early on any readable pipe).
-_TICK_S = 0.05
-
-#: How long to wait for a worker's trailing "done" after its last
-#: result before writing the worker off and recycling it.
-_SETTLE_S = 5.0
-
-
-class TaskFailedError(RuntimeError):
-    """A task exhausted its retries under ``on_failure="raise"``.
-
-    ``failures`` is a list of ``(fingerprint, TaskFailure)`` pairs —
-    usually one, but consumers that collect failures batch-wide (the
-    experiment runner under quarantine) reuse this type.
-    """
-
-    def __init__(self, failures: Sequence[Tuple[str, TaskFailure]]):
-        self.failures = list(failures)
-        key, failure = self.failures[0]
-        more = (f" (+{len(self.failures) - 1} more)"
-                if len(self.failures) > 1 else "")
-        super().__init__(
-            f"task {key[:12]} failed [{failure.kind}] after "
-            f"{failure.attempts} attempt(s): {failure.message}{more}")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the supervisor reacts to failures.
-
-    Timeouts: a task's wall-clock budget is ``task_timeout_s`` when
-    set, else ``min_timeout_s + seconds_per_event * task_cost(task)``
-    — proportional to the work the task is *known* to contain, so a
-    1000 Mbps run is not killed on a budget sized for 1 Mbps ones.
-    An assignment's deadline is the slack plus the sum of its
-    unacknowledged tasks' budgets (each ack extends the deadline).
-
-    ``on_failure``: ``"raise"`` aborts the batch with
-    :class:`TaskFailedError` once a task is out of retries;
-    ``"quarantine"`` yields the failure as a result variant so the
-    batch completes and the store records the poison fingerprint.
-    """
-
-    max_retries: int = 2
-    task_timeout_s: Optional[float] = None
-    min_timeout_s: float = 60.0
-    seconds_per_event: float = 1e-4
-    timeout_slack_s: float = 5.0
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 10.0
-    on_failure: str = "raise"
-    serial_fallback: bool = True
-
-    def __post_init__(self):
-        if self.on_failure not in ("raise", "quarantine"):
-            raise ValueError(f"on_failure must be 'raise' or "
-                             f"'quarantine', got {self.on_failure!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, "
-                             f"got {self.max_retries}")
-
-    def timeout_for(self, task: SimTask) -> float:
-        if self.task_timeout_s is not None:
-            return self.task_timeout_s
-        return self.min_timeout_s + self.seconds_per_event * task_cost(task)
-
-    def backoff_for(self, attempt: int) -> float:
-        return min(self.backoff_base_s
-                   * self.backoff_factor ** max(attempt - 1, 0),
-                   self.backoff_max_s)
+__all__ = ["SupervisedExecutor", "SuperviseStats",
+           "add_fault_tolerance_arguments", "policy_from_args"]
 
 
 @dataclass
@@ -144,55 +41,9 @@ class SuperviseStats:
     quarantined: int = 0        # tasks finalized as failure results
 
 
-def _units(tasks: Sequence[SimTask]) -> List[List[int]]:
-    """Split an assignment into execution units, mirroring
-    :func:`~repro.exec.task.run_task_group`'s fluid grouping.
-
-    Packet tasks are singleton units; fluid tasks differing only by
-    seed form one vectorized unit.  Running unit-by-unit (instead of
-    the whole assignment in one call) lets the worker acknowledge each
-    task as it completes, which is what gives the supervisor its
-    heartbeat and keeps a crash from losing already-finished work.
-    """
-    import json
-
-    units: List[List[int]] = []
-    fluid: Dict[Tuple, List[int]] = {}
-    for j, task in enumerate(tasks):
-        if task.backend != "fluid":
-            units.append([j])
-            continue
-        key = (json.dumps(task.config, sort_keys=True,
-                          separators=(",", ":")),
-               task.trees, task.duration_s, task.record_usage)
-        fluid.setdefault(key, []).append(j)
-    units.extend(fluid.values())
-    return units
-
-
-def _send(conn, message) -> bool:
-    """Send to the supervisor; False means it is gone — stop working."""
-    try:
-        conn.send(message)
-        return True
-    except (BrokenPipeError, OSError):
-        return False
-
-
 def _worker_main(inbox, results) -> None:
-    """Worker loop: run assignments, ack per task, report exceptions.
-
-    Message protocol (worker -> supervisor), all tagged with the
-    assignment id so stale messages from an abandoned assignment are
-    discarded:
-
-    * ``("result", aid, pos, SimTaskResult)`` — one task done; doubles
-      as the heartbeat/ack that extends the assignment's deadline.
-    * ``("failure", aid, pos, (error_type, message, traceback))`` — the
-      task raised; structured, never a pickled exception object (which
-      may itself fail to unpickle).
-    * ``("done", aid)`` — assignment finished, worker is idle.
-    """
+    """Worker loop: run assignments until told to stop (``None``) or
+    the supervisor is gone (either channel breaks)."""
     faults.mark_worker_process()
     try:
         injector = faults.injector_from_env()
@@ -200,39 +51,26 @@ def _worker_main(inbox, results) -> None:
         injector = None
     while True:
         try:
-            message = inbox.get()
+            assignment = inbox.get()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        if message is None:
+        if assignment is None:
             return
-        aid, attempt, positions, tasks = message
-        for unit in _units(tasks):
-            try:
-                if injector is not None:
-                    for j in unit:
-                        injector.on_task(cache_key(tasks[j]), attempt)
-                outs = run_task_group([tasks[j] for j in unit])
-            except Exception as error:
-                detail = (type(error).__name__, str(error),
-                          traceback.format_exc())
-                if not all(_send(results, ("failure", aid, positions[j],
-                                           detail)) for j in unit):
-                    return
-                continue
-            for j, out in zip(unit, outs):
-                if not _send(results, ("result", aid, positions[j], out)):
-                    return
-        if not _send(results, ("done", aid)):
+        try:
+            run_assignment(assignment,
+                           lambda message, key: results.send(message),
+                           injector)
+        except OSError:
             return
 
 
 class _WorkerHandle:
     """One supervised worker process plus its two channels."""
 
-    __slots__ = ("wid", "inbox", "results", "process")
+    __slots__ = ("inbox", "results", "process", "busy")
 
     def __init__(self, ctx, wid: int):
-        self.wid = wid
+        self.busy = False
         self.inbox = ctx.SimpleQueue()
         # duplex=False: (receive end, send end).  The supervisor closes
         # its copy of the send end, so worker death reads as EOF on
@@ -263,68 +101,83 @@ class _WorkerHandle:
                 pass
 
 
-class _Assignment:
-    """A set of task positions dispatched (or queued) as one message."""
-
-    __slots__ = ("aid", "positions", "attempt")
-
-    def __init__(self, aid: int, positions: List[int], attempt: int):
-        self.aid = aid
-        self.positions = positions
-        self.attempt = attempt
-
-
-class _Running:
-    """Supervisor-side state for one in-flight assignment."""
-
-    __slots__ = ("handle", "assignment", "unacked", "budget", "deadline",
-                 "broken", "done")
-
-    def __init__(self, handle: _WorkerHandle, assignment: _Assignment,
-                 budget: float, deadline: float):
-        self.handle = handle
-        self.assignment = assignment
-        self.unacked: Set[int] = set(assignment.positions)
-        self.budget = budget
-        self.deadline = deadline
-        self.broken = False
-        self.done = False
-
-
 class SupervisedExecutor(ProcessPoolExecutor):
-    """Cost-packed fan-out with supervision, retry, and quarantine.
+    """Cost-packed fan-out over supervised local worker processes.
 
-    A drop-in for :class:`~repro.exec.executors.ProcessPoolExecutor`
-    (and a subclass of it, so existing ``isinstance`` dispatch keeps
-    working): same chunking, same determinism, same streaming
-    ``run_iter`` — plus the failure semantics described in the module
-    docstring, governed by a :class:`RetryPolicy`.
+    Same chunking, determinism and streaming ``run_iter`` as every
+    executor, plus the scheduler's failure semantics governed by a
+    :class:`~repro.exec.scheduler.RetryPolicy`.  Workers start on
+    demand (at most ``jobs``) and stay warm across batches.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  policy: Optional[RetryPolicy] = None):
-        super().__init__(jobs=jobs, chunk_size=chunk_size)
-        self.policy = policy if policy is not None else RetryPolicy()
+        super().__init__(jobs=jobs, chunk_size=chunk_size, policy=policy)
         self.stats = SuperviseStats()
         self._ctx = multiprocessing.get_context()
-        self._idle: List[_WorkerHandle] = []
+        self._workers: List[_WorkerHandle] = []
         self._next_wid = 0
-        self._next_aid = 0
 
-    # -- worker lifecycle -------------------------------------------------
+    # -- the scheduler's lanes --------------------------------------------
 
-    def _checkout(self) -> _WorkerHandle:
-        if self._idle:
-            return self._idle.pop()
-        self._next_wid += 1
-        return _WorkerHandle(self._ctx, self._next_wid)
+    def acquire(self) -> Optional[_WorkerHandle]:
+        handle = next((h for h in self._workers if not h.busy), None)
+        if handle is None:
+            if len(self._workers) >= self.jobs:
+                return None
+            self._next_wid += 1
+            handle = _WorkerHandle(self._ctx, self._next_wid)
+            self._workers.append(handle)
+        handle.busy = True
+        return handle
+
+    def launch(self, handle: _WorkerHandle, assignment: tuple) -> bool:
+        handle.inbox.put(assignment)
+        return True
+
+    def wait(self, timeout: float) -> List[Tuple[_WorkerHandle, object]]:
+        busy = [h for h in self._workers if h.busy]
+        if busy:
+            _wait([h.results for h in busy], timeout=timeout)
+        else:
+            time.sleep(timeout)
+        events: List[Tuple[_WorkerHandle, object]] = []
+        for handle in busy:
+            # Liveness is sampled *before* the drain: whatever a worker
+            # wrote before it died is already in the pipe, so its
+            # last-gasp results are delivered ahead of the loss.
+            alive = handle.process.is_alive()
+            try:
+                while handle.results.poll():
+                    events.append((handle, handle.results.recv()))
+            except (EOFError, OSError):
+                alive = False
+            if not alive:
+                events.append((handle, LOST))
+        return events
+
+    def release(self, handle: _WorkerHandle) -> None:
+        handle.busy = False
+
+    def drop(self, handle: _WorkerHandle, kind: str) -> None:
+        if kind == "worker-death":
+            self.stats.worker_deaths += 1
+        else:
+            self.stats.timeouts += 1
+        self.abandon(handle)
+
+    def abandon(self, handle: _WorkerHandle) -> None:
+        if handle in self._workers:     # not already detached by close()
+            self._workers.remove(handle)
+        handle.reap()
+
+    # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
         # Detach the worker list *first*: a ^C landing mid-teardown
         # leaves nothing double-owned, and a second close() is a no-op.
-        workers, self._idle = self._idle, []
-        super().close()
+        workers, self._workers = self._workers, []
         for handle in workers:
             try:
                 handle.inbox.put(None)     # graceful: exit the loop
@@ -333,238 +186,6 @@ class SupervisedExecutor(ProcessPoolExecutor):
         for handle in workers:
             handle.process.join(timeout=1.0)
             handle.reap()
-
-    # -- the supervision loop ---------------------------------------------
-
-    def run_iter(self, tasks: Sequence[SimTask]
-                 ) -> Iterator[Tuple[int, SimTaskResult]]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        policy = self.policy
-        timeouts = [policy.timeout_for(task) for task in tasks]
-        pending: Set[int] = set(range(len(tasks)))
-        attempts: Dict[int, int] = {}     # per-task tries consumed
-        resubmits: Dict[int, int] = {}    # crash-resubmission depth
-        ready: List[Tuple[float, int, _Assignment]] = []  # (ready_at,..)
-        busy: Dict[int, _Running] = {}                    # wid -> state
-        emitted: List[Tuple[int, SimTaskResult]] = []
-        fatal: List[Tuple[str, TaskFailure]] = []
-
-        def enqueue(positions: List[int], attempt: int,
-                    ready_at: float) -> None:
-            self._next_aid += 1
-            assignment = _Assignment(self._next_aid, list(positions),
-                                     attempt)
-            heapq.heappush(ready, (ready_at, assignment.aid, assignment))
-
-        def finalize(pos: int, failure: TaskFailure) -> None:
-            """Out of options for this task: quarantine or abort."""
-            if pos not in pending:
-                return
-            pending.discard(pos)
-            failure = dataclasses.replace(
-                failure, resubmissions=resubmits.get(pos, 0))
-            if policy.on_failure == "quarantine":
-                self.stats.quarantined += 1
-                emitted.append((pos, SimTaskResult(failure=failure)))
-            else:
-                fatal.append((cache_key(tasks[pos]), failure))
-
-        def on_message(r: _Running, msg) -> None:
-            kind, aid = msg[0], msg[1]
-            if aid != r.assignment.aid:
-                return                    # stale: abandoned assignment
-            if kind == "done":
-                r.done = True
-                return
-            pos = msg[2]
-            if pos in r.unacked:
-                # The ack is the heartbeat: shrink the remaining budget
-                # and push the deadline out for what's left.
-                r.unacked.discard(pos)
-                r.budget -= timeouts[pos]
-                r.deadline = (time.monotonic() + policy.timeout_slack_s
-                              + max(r.budget, 0.0))
-            if pos not in pending:
-                return                    # duplicate after a kill race
-            if kind == "result":
-                pending.discard(pos)
-                emitted.append((pos, msg[3]))
-                return
-            error_type, message, tb = msg[3]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                enqueue([pos], count,
-                        time.monotonic() + policy.backoff_for(count))
-            else:
-                finalize(pos, TaskFailure(
-                    kind="exception",
-                    message=f"task raised {error_type}: {message}",
-                    attempts=count, error_type=error_type, traceback=tb))
-
-        def drain(r: _Running) -> None:
-            while not r.broken:
-                try:
-                    if not r.handle.results.poll():
-                        return
-                    msg = r.handle.results.recv()
-                except (EOFError, OSError):
-                    r.broken = True
-                    return
-                on_message(r, msg)
-
-        def on_crash(r: _Running, kind: str, now: float) -> None:
-            """The assignment's worker died or blew its deadline."""
-            if kind == "worker-death":
-                self.stats.worker_deaths += 1
-            else:
-                self.stats.timeouts += 1
-            lost = [pos for pos in r.assignment.positions
-                    if pos in r.unacked and pos in pending]
-            if not lost:
-                return
-            if len(lost) > 1:
-                # Bisection: whichever half holds the poison crashes
-                # again and splits again; the other half completes.
-                # attempt+1 so seeded *transient* faults (attempt-0
-                # only) don't re-fire down the lineage.
-                self.stats.bisections += 1
-                self.stats.resubmissions += 2
-                for pos in lost:
-                    resubmits[pos] = resubmits.get(pos, 0) + 1
-                mid = (len(lost) + 1) // 2
-                for part in (lost[:mid], lost[mid:]):
-                    enqueue(part, r.assignment.attempt + 1, now)
-                return
-            pos = lost[0]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if kind == "worker-death" and r.assignment.attempt > 0:
-                # A bisection-isolated singleton that still kills its
-                # worker is proven poison: quarantine it now instead of
-                # burning max_retries more workers on it.
-                finalize(pos, TaskFailure(
-                    kind="worker-death", attempts=count,
-                    message="worker died while running this task "
-                            "(isolated by bisection)"))
-                return
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                self.stats.resubmissions += 1
-                resubmits[pos] = resubmits.get(pos, 0) + 1
-                enqueue([pos], count, now + policy.backoff_for(count))
-                return
-            if kind == "timeout" and policy.serial_fallback:
-                # Graceful degradation: workers keep timing out on it,
-                # so give the task one undisturbed in-process run (no
-                # deadline, no injection — this is the supervisor).
-                self.stats.serial_fallbacks += 1
-                try:
-                    result = run_task_group([tasks[pos]])[0]
-                except Exception as error:
-                    finalize(pos, TaskFailure(
-                        kind="timeout", attempts=count + 1,
-                        message=f"timed out {count} time(s); serial "
-                                f"fallback raised "
-                                f"{type(error).__name__}: {error}",
-                        error_type=type(error).__name__,
-                        traceback=traceback.format_exc()))
-                else:
-                    pending.discard(pos)
-                    emitted.append((pos, result))
-                return
-            what = ("timed out" if kind == "timeout"
-                    else "killed its worker")
-            finalize(pos, TaskFailure(
-                kind=kind, attempts=count,
-                message=f"{what} on every one of {count} attempt(s)"))
-
-        def dispatch(now: float) -> None:
-            while ready and ready[0][0] <= now and len(busy) < self.jobs:
-                _, _, assignment = heapq.heappop(ready)
-                positions = [pos for pos in assignment.positions
-                             if pos in pending]
-                if not positions:
-                    continue
-                assignment.positions = positions
-                handle = self._checkout()
-                handle.inbox.put(
-                    (assignment.aid, assignment.attempt, positions,
-                     [tasks[pos] for pos in positions]))
-                budget = sum(timeouts[pos] for pos in positions)
-                busy[handle.wid] = _Running(
-                    handle, assignment, budget,
-                    now + policy.timeout_slack_s + budget)
-
-        for chunk in self._chunks_for(tasks):
-            enqueue(chunk, 0, 0.0)
-
-        try:
-            while pending and (ready or busy):
-                now = time.monotonic()
-                dispatch(now)
-                conns = [r.handle.results for r in busy.values()
-                         if not r.broken]
-                if conns:
-                    _wait(conns, timeout=_TICK_S)
-                else:
-                    delay = _TICK_S
-                    if ready:
-                        delay = min(max(ready[0][0] - now, 0.0), _TICK_S)
-                    time.sleep(delay)
-                for r in list(busy.values()):
-                    drain(r)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
-                now = time.monotonic()
-                for wid, r in list(busy.items()):
-                    if r.done:
-                        busy.pop(wid)
-                        self._idle.append(r.handle)
-                    elif r.broken or not r.handle.process.is_alive():
-                        drain(r)          # last-gasp buffered messages
-                        busy.pop(wid)
-                        r.handle.reap()
-                        on_crash(r, "worker-death", now)
-                    elif now > r.deadline:
-                        busy.pop(wid)
-                        r.handle.reap()
-                        on_crash(r, "timeout", now)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
-            # All results are out; collect trailing "done" messages so
-            # finishing workers return to the idle pool for the next
-            # batch (a slow or wedged one is recycled instead).
-            for wid, r in list(busy.items()):
-                end = time.monotonic() + _SETTLE_S
-                while not (r.done or r.broken) \
-                        and time.monotonic() < end:
-                    if r.handle.results.poll(0.02):
-                        drain(r)
-                    elif not r.handle.process.is_alive():
-                        break
-                busy.pop(wid)
-                if r.done:
-                    self._idle.append(r.handle)
-                else:
-                    r.handle.reap()
-        except BaseException:
-            # Abort (failure, ^C, or an abandoned generator): workers
-            # still running stale assignments must not survive into the
-            # next batch, where their task positions would collide.
-            for r in busy.values():
-                r.handle.reap()
-            busy.clear()
-            raise
 
 
 def add_fault_tolerance_arguments(parser: argparse.ArgumentParser

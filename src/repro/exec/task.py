@@ -24,8 +24,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.scale import PACKET_BYTES
+
 __all__ = ["SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
-           "run_task_group", "cache_key", "BACKENDS"]
+           "run_task_group", "task_units", "task_cost", "cache_key",
+           "BACKENDS"]
 
 #: Simulation backends a task may select.  ``"packet"`` is the exact
 #: event-driven engine (the source of truth); ``"fluid"`` is the
@@ -164,18 +167,48 @@ class SimTaskResult:
         return self.failure is None
 
 
-def run_sim_task(task: SimTask) -> SimTaskResult:
-    """Execute one task (module-level so multiprocessing can pickle it).
+def task_cost(task: SimTask) -> float:
+    """Expected cost of one task, in simulated packet-events.
 
-    This is the single choke point every executor funnels through:
-    serial and pooled execution differ only in *where* this function
-    runs, never in what it computes.
+    The dominant cost of a pure-Python simulation is the number of
+    packet events, which is known *before* running: the task's duration
+    (already set via ``Scale.duration_for``) times the bottleneck packet
+    rate.  Used to pack pool chunks by cost instead of count, so one
+    1000 Mbps run doesn't straggle behind a chunk of 1 Mbps runs.
     """
-    # Imported at call time, not module top: experiments.common imports
-    # the protocols package, which imports repro.remy — a cycle at
-    # import time but not at call time.
-    from ..core.scenario import NetworkConfig
-    from ..experiments.common import build_simulation
+    speeds = (1.0,)
+    if isinstance(task.config, dict):
+        speeds = task.config.get("link_speeds_mbps") or (1.0,)
+    rate_pps = max(speeds) * 1e6 / (8.0 * PACKET_BYTES)
+    return max(task.duration_s, 0.0) * max(rate_pps, 1.0)
+
+
+def task_units(tasks: Sequence[SimTask]) -> List[List[int]]:
+    """Split a batch into execution units (lists of task indices).
+
+    Packet tasks are singleton units, in task order; after them, fluid
+    tasks that differ only by seed form one vectorized unit each.
+    :func:`run_task_group` runs a batch unit by unit, and a worker that
+    iterates the same units itself can acknowledge each task as its
+    unit completes — the scheduler's heartbeat, and what keeps a crash
+    from losing already-finished work.
+    """
+    units: List[List[int]] = []
+    fluid: Dict[Tuple, List[int]] = {}
+    for i, task in enumerate(tasks):
+        if task.backend != "fluid":
+            units.append([i])
+            continue
+        key = (json.dumps(task.config, sort_keys=True,
+                          separators=(",", ":")),
+               task.trees, task.duration_s, task.record_usage)
+        fluid.setdefault(key, []).append(i)
+    units.extend(fluid.values())
+    return units
+
+
+def _decode_trees(task: SimTask) -> Dict[str, "WhiskerTree"]:
+    """The task's whisker trees, parsed and compiled."""
     from ..remy.compiled import compiled_from_json
     from ..remy.tree import WhiskerTree
 
@@ -188,14 +221,26 @@ def run_sim_task(task: SimTask) -> SimTaskResult:
         # compiles it once per worker, not once per task.
         tree.adopt_compiled(compiled_from_json(text))
         trees[kind] = tree
-    config = NetworkConfig.from_dict(task.config)
+    return trees
+
+
+def run_sim_task(task: SimTask) -> SimTaskResult:
+    """Execute one task (module-level so multiprocessing can pickle it).
+
+    This is the single choke point every executor funnels through:
+    serial and pooled execution differ only in *where* this function
+    runs, never in what it computes.
+    """
     if task.backend == "fluid":
-        from ..sim.fluid import simulate_fluid
-        run = simulate_fluid(config, trees=trees, seeds=(task.seed,),
-                             duration_s=task.duration_s)[0]
-        # The fluid model has no per-whisker usage instrumentation;
-        # usage-recording consumers must stay on the packet backend.
-        return SimTaskResult(run=run)
+        return run_task_group([task])[0]    # a seed batch of one
+    # Imported at call time, not module top: experiments.common imports
+    # the protocols package, which imports repro.remy — a cycle at
+    # import time but not at call time.
+    from ..core.scenario import NetworkConfig
+    from ..experiments.common import build_simulation
+
+    trees = _decode_trees(task)
+    config = NetworkConfig.from_dict(task.config)
     handle = build_simulation(config, trees=trees, seed=task.seed,
                               record_usage=task.record_usage)
     run = handle.run(task.duration_s)
@@ -210,39 +255,29 @@ def run_task_group(tasks: Sequence[SimTask]) -> List[SimTaskResult]:
     """Execute a batch of tasks, vectorizing fluid seed batches.
 
     Packet tasks run one at a time through :func:`run_sim_task`.  Fluid
-    tasks that differ only by seed are grouped and evaluated by a single
-    :func:`~repro.sim.fluid.simulate_fluid` call — one array program per
-    (config, trees, duration) group.  Because the fluid integrator is
-    batch-invariant (elementwise across seeds), the grouped results are
-    bitwise-identical to running each task alone, so every executor may
-    route through here without weakening the determinism contract.
+    tasks that differ only by seed are grouped (:func:`task_units`) and
+    evaluated by a single :func:`~repro.sim.fluid.simulate_fluid` call —
+    one array program per (config, trees, duration) group.  Because the
+    fluid integrator is batch-invariant (elementwise across seeds), the
+    grouped results are bitwise-identical to running each task alone,
+    so every executor may route through here without weakening the
+    determinism contract.
     """
     from ..core.scenario import NetworkConfig
-    from ..remy.compiled import compiled_from_json
-    from ..remy.tree import WhiskerTree
 
     results: List[Optional[SimTaskResult]] = [None] * len(tasks)
-    groups: Dict[Tuple, List[int]] = {}
-    for i, task in enumerate(tasks):
-        if task.backend != "fluid":
-            results[i] = run_sim_task(task)
+    for unit in task_units(tasks):
+        first = tasks[unit[0]]
+        if first.backend != "fluid":
+            results[unit[0]] = run_sim_task(first)
             continue
-        key = (json.dumps(task.config, sort_keys=True,
-                          separators=(",", ":")),
-               task.trees, task.duration_s, task.record_usage)
-        groups.setdefault(key, []).append(i)
-    for key, indices in groups.items():
         from ..sim.fluid import simulate_fluid
-        first = tasks[indices[0]]
-        trees: Dict[str, WhiskerTree] = {}
-        for kind, text in first.trees:
-            tree = WhiskerTree.from_json(text)
-            tree.adopt_compiled(compiled_from_json(text))
-            trees[kind] = tree
-        config = NetworkConfig.from_dict(first.config)
-        seeds = [tasks[i].seed for i in indices]
-        runs = simulate_fluid(config, trees=trees, seeds=seeds,
+        runs = simulate_fluid(NetworkConfig.from_dict(first.config),
+                              trees=_decode_trees(first),
+                              seeds=[tasks[i].seed for i in unit],
                               duration_s=first.duration_s)
-        for i, run in zip(indices, runs):
+        # The fluid model has no per-whisker usage instrumentation;
+        # usage-recording consumers must stay on the packet backend.
+        for i, run in zip(unit, runs):
             results[i] = SimTaskResult(run=run)
     return results  # type: ignore[return-value]

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from repro.core.scale import Scale
 from repro.core.scenario import NetworkConfig, ScenarioRange
 from repro.exec import (CachingExecutor, Executor, ProcessPoolExecutor,
-                        SerialExecutor, SimTask, cache_key,
-                        executor_for, pack_chunks, run_batch,
-                        run_sim_task, task_cost)
+                        RetryPolicy, SerialExecutor, SimTask,
+                        SupervisedExecutor, cache_key, executor_for,
+                        pack_chunks, run_batch, run_sim_task, task_cost)
 from repro.remy.action import Action
 from repro.remy.evaluator import EvalSettings, TreeEvaluator
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
@@ -118,19 +118,19 @@ class TestExecutorEquivalence:
         """The determinism contract: scheduling cannot change results."""
         tasks = small_batch(4)
         serial = SerialExecutor().run_batch(tasks)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = pool.run_batch(tasks)
         assert flows_key(serial) == flows_key(pooled)
 
     def test_pool_is_reusable_across_batches(self):
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             first = pool.run_batch(small_batch(2))
             second = pool.run_batch(small_batch(2))
         assert flows_key(first) == flows_key(second)
 
     def test_results_in_task_order(self):
         tasks = small_batch(5)
-        with ProcessPoolExecutor(jobs=2, chunk_size=1) as pool:
+        with SupervisedExecutor(jobs=2, chunk_size=1) as pool:
             results = pool.run_batch(tasks)
         assert [out.run.seed for out in results] == [1, 2, 3, 4, 5]
 
@@ -154,7 +154,7 @@ class TestExecutorEquivalence:
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ProcessPoolExecutor(jobs=0)
+            SupervisedExecutor(jobs=0)
         with pytest.raises(ValueError):
             executor_for(-8)   # a "--jobs -8" typo must not run serial
 
@@ -248,7 +248,7 @@ class TestChunkPacking:
                                seed=1 + k, duration_s=duration)
                  for k, duration in enumerate((4.0, 2.0, 3.0, 2.0, 2.0))]
         serial = SerialExecutor().run_batch(tasks)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = pool.run_batch(tasks)
         assert flows_key(serial) == flows_key(pooled)
         assert [out.run.seed for out in pooled] == [1, 2, 3, 4, 5]
@@ -264,7 +264,7 @@ class TestRunIter:
 
     def test_pool_streams_every_task_once(self):
         tasks = small_batch(4)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             seen = dict(pool.run_iter(tasks))
         assert sorted(seen) == [0, 1, 2, 3]
         assert flows_key([seen[i] for i in range(4)]) \
@@ -352,7 +352,7 @@ class TestEvaluatorOnExecutors:
     def test_serial_and_pool_scores_bitwise_identical(self):
         tree = WhiskerTree(default_action=Action(0.8, 4.0, 0.002))
         serial = TreeEvaluator(RANGE, TINY).evaluate(tree)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = TreeEvaluator(RANGE, TINY,
                                    executor=pool).evaluate(tree)
         assert serial.score == pooled.score
@@ -393,7 +393,7 @@ class TestEvaluatorOnExecutors:
                                      neighbor_scales=(1.0,))
         serial_tree, serial_log = RemyOptimizer(
             RANGE, TINY, settings).train()
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled_tree, pooled_log = RemyOptimizer(
                 RANGE, TINY, settings, executor=pool).train()
         assert serial_tree.to_json() == pooled_tree.to_json()
@@ -430,38 +430,31 @@ class TestDefaultJobs:
 
 
 class TestPoolLifecycle:
-    """The pool is recycled after a mid-batch worker exception and
-    close() stays safe under repetition / interruption."""
+    """The pool survives a batch that raised, and close() stays safe
+    under repetition / interruption."""
+
+    def test_shell_alone_is_not_a_strategy(self):
+        with pytest.raises(NotImplementedError):
+            ProcessPoolExecutor(jobs=2).run_batch(small_batch(1))
 
     def test_pool_recycled_after_worker_exception(self):
         bad = dataclasses.replace(small_batch(1)[0],
                                   trees=(("learner", "{broken"),))
-        pool = ProcessPoolExecutor(jobs=2)
+        pool = SupervisedExecutor(2, policy=RetryPolicy(
+            max_retries=1, backoff_base_s=0.01))
         try:
             with pytest.raises(Exception):
-                pool.run_batch([bad])
-            assert pool._pool is None         # broken pool torn down
-            good = pool.run_batch(small_batch(2))   # fresh pool spawned
+                pool.run_batch([bad] + small_batch(2))
+            # Workers caught mid-assignment by the abort are reaped;
+            # the next batch gets fresh ones and matches serial.
+            good = pool.run_batch(small_batch(2))
             assert flows_key(good) \
                 == flows_key(SerialExecutor().run_batch(small_batch(2)))
         finally:
             pool.close()
 
-    def test_close_idempotent_and_detaches_first(self):
-        pool = ProcessPoolExecutor(jobs=2)
-        pool.run_batch(small_batch(1))
-        assert pool._pool is not None
-        pool.close()
-        # Detached before teardown: a ^C landing inside terminate()
-        # leaves no half-closed pool behind, and closing again is a
-        # clean no-op.
-        assert pool._pool is None
-        pool.close()
-
     def test_supervised_close_idempotent_and_reaps(self):
         import multiprocessing
-
-        from repro.exec import SupervisedExecutor
 
         def supervised_children():
             return [p for p in multiprocessing.active_children()
@@ -486,8 +479,6 @@ class TestPoolLifecycle:
         loop suspended with busy workers (they are reaped at close,
         not whenever GC finds the generator)."""
         import multiprocessing
-
-        from repro.exec import SupervisedExecutor
 
         class Boom(Exception):
             pass

@@ -194,6 +194,56 @@ class TestRemoteCleanPath:
             == flows_key(SerialExecutor().run_batch(tasks))
 
 
+class TestSessionLifetime:
+    """The daemon's per-session result cache lives exactly as long as
+    its client can still resume it."""
+
+    @staticmethod
+    def settled(srv, count):
+        # The daemon handles ``bye`` on its own thread.
+        deadline = time.monotonic() + 5.0
+        while len(srv._sessions) != count \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return len(srv._sessions)
+
+    def test_bye_drops_the_session(self, server):
+        for _ in range(3):
+            with remote(server, lanes=2) as executor:
+                executor.run_batch(small_batch(2, duration=1.0))
+                assert self.settled(server, 2) == 2   # one per lane
+        assert self.settled(server, 0) == 0
+
+    def test_bye_behind_an_abandoned_assignment_is_still_read(
+            self, server):
+        """A client that closes with an assignment still running (the
+        loser of a steal) makes the daemon's next sends fail; the
+        ``bye`` queued behind them must still drop the session."""
+        sock = socket.create_connection(("127.0.0.1", server.port))
+        try:
+            send_frame(sock, ("hello", None))
+            assert recv_frame(sock)[0] == "welcome"
+            send_frame(sock, ("run", 1, 0, [0, 1],
+                              small_batch(2, duration=1.0)))
+            send_frame(sock, ("bye",))
+        finally:
+            sock.close()
+        assert self.settled(server, 0) == 0
+
+    def test_dropped_connection_keeps_the_session(self):
+        # Every first result's connection is dropped: the client must
+        # find its session (and the cached result) when it reconnects.
+        srv = chaos_server(FaultPlan(seed=11, p_conn_drop=1.0))
+        try:
+            with remote(srv, chunk_size=2) as executor:
+                executor.run_batch(small_batch(2, duration=1.0))
+                assert executor.stats.reconnects >= 1
+                assert len(srv._sessions) == 1        # resumed, not new
+            assert self.settled(srv, 0) == 0
+        finally:
+            srv.stop()
+
+
 # ----------------------------------------------------------------------
 # Graceful degradation: no workers is a warning, not an error.
 
