@@ -6,31 +6,27 @@ throughput vs. the full-model Tao, while beating Cubic by ~7.2x and
 Cubic-over-sfqCoDel by ~2.75x on average throughput.
 """
 
-from conftest import BENCH_SCALE, banner, require_assets
+from conftest import BENCH_SCALE, banner, run_spec
 
 from repro.experiments import structure
 
 
 def test_fig6_structure(benchmark):
-    require_assets("tao_structure_one", "tao_structure_two")
-
-    result = benchmark.pedantic(
-        lambda: structure.run(scale=BENCH_SCALE),
-        rounds=1, iterations=1)
+    result = run_spec(benchmark, structure.SPEC, BENCH_SCALE)
 
     banner("Figure 6 — parking lot, both links swept 10-100 Mbps",
            "one-bottleneck Tao ~17% below full-model Tao; both far "
            "above Cubic (7.2x) and Cubic/sfqCoDel (2.75x)")
-    print(structure.format_table(result))
+    print(structure.SPEC.render(result))
 
-    simplified = result.mean_throughput("tao_one_bottleneck")
-    full = result.mean_throughput("tao_two_bottleneck")
-    cubic = result.mean_throughput("cubic")
-    sfq = result.mean_throughput("cubic_sfqcodel")
+    simplified = structure.mean_throughput(result, "tao_one_bottleneck")
+    full = structure.mean_throughput(result, "tao_two_bottleneck")
+    cubic = structure.mean_throughput(result, "cubic")
+    sfq = structure.mean_throughput(result, "cubic_sfqcodel")
 
     assert simplified > 0 and full > 0
     # The simplification penalty is a minority loss, not a collapse.
-    assert simplified > 0.5 * full, (
+    assert structure.simplification_penalty(result) < 0.5, (
         "one-bottleneck model should lose only modestly vs. full model")
     # Both Taos handily beat Cubic's crossing flow (RTT unfairness
     # crushes Cubic's two-hop flow).

@@ -6,31 +6,28 @@ by NewReno while the aware Tao claims its share (+36% throughput, -37%
 delay vs. naive when facing TCP).
 """
 
-from conftest import BENCH_SCALE_FINE, banner, require_assets
+from conftest import BENCH_SCALE_FINE, banner, run_spec
 
 from repro.experiments import tcp_awareness
 
 
 def test_fig7_tcp_awareness(benchmark):
-    require_assets("tao_tcp_naive", "tao_tcp_aware")
-
-    result = benchmark.pedantic(
-        lambda: tcp_awareness.run(scale=BENCH_SCALE_FINE),
-        rounds=1, iterations=1)
+    result = run_spec(benchmark, tcp_awareness.SPEC, BENCH_SCALE_FINE)
 
     banner("Figure 7 — TCP-aware vs TCP-naive, 10 Mbps / 100 ms / 250 kB",
            "awareness costs delay alone, pays against NewReno")
-    print(tcp_awareness.format_table(result))
+    print(tcp_awareness.SPEC.render(result))
 
-    naive_homog = result.tao_point("naive_homogeneous")
-    aware_homog = result.tao_point("aware_homogeneous")
-    naive_mixed = result.tao_point("naive_vs_newreno")
-    aware_mixed = result.tao_point("aware_vs_newreno")
+    naive_homog = result.one("naive_homogeneous", kind="learner")
+    aware_homog = result.one("aware_homogeneous", kind="learner")
+    naive_mixed = result.one("naive_vs_newreno", kind="learner")
+    aware_mixed = result.one("aware_vs_newreno", kind="learner")
 
     # Cost of awareness in the homogeneous setting: more delay.
-    assert naive_homog.median_delay_s <= aware_homog.median_delay_s, (
+    assert naive_homog["median_delay_s"] \
+        <= aware_homog["median_delay_s"], (
         "TCP-naive Tao should see less queueing delay among its own kind")
     # Benefit against TCP: the aware Tao claims more throughput.
-    assert (aware_mixed.median_throughput_bps
-            > naive_mixed.median_throughput_bps), (
+    assert (aware_mixed["median_throughput_bps"]
+            > naive_mixed["median_throughput_bps"]), (
         "TCP-aware Tao should claim more of the link from NewReno")

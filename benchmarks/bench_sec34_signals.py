@@ -5,26 +5,21 @@ value (every knockout scores below the full four-signal protocol), and
 ``rec_ewma`` — short-term ACK interarrival — is the most valuable.
 """
 
-from conftest import BENCH_SCALE_FINE, banner, require_assets
+from conftest import BENCH_SCALE_FINE, banner, run_spec
 
 from repro.experiments import signals
 from repro.remy.memory import SIGNAL_NAMES
 
 
 def test_sec34_signal_knockout(benchmark):
-    require_assets("tao_calibration",
-                   *(f"tao_knockout_{s}" for s in SIGNAL_NAMES))
-
-    result = benchmark.pedantic(
-        lambda: signals.run(scale=BENCH_SCALE_FINE),
-        rounds=1, iterations=1)
+    result = run_spec(benchmark, signals.SPEC, BENCH_SCALE_FINE)
 
     banner("Section 3.4 — value of congestion signals",
            "every knockout underperforms the full protocol; rec_ewma "
            "most valuable")
-    print(signals.format_table(result))
+    print(signals.SPEC.render(result))
 
-    drops = {s: result.drop(s) for s in SIGNAL_NAMES}
+    drops = {s: signals.drop(result, s) for s in SIGNAL_NAMES}
     # At least most knockouts should cost performance.  (At benchmark
     # scale the weakest signal's drop can be noise-level, so require a
     # majority rather than all four.)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.scale import Scale
+from repro.experiments.api import run_experiment
 from repro.remy.assets import available_assets
 
 #: Benchmarks trade statistical tightness for wall-clock time — the
@@ -30,6 +31,15 @@ def require_assets(*names: str) -> None:
     if missing:
         pytest.skip(f"assets not trained yet: {missing} "
                     "(run scripts/train_assets.py)")
+
+
+def run_spec(benchmark, spec, scale: Scale):
+    """Time one ``run_experiment`` pass of ``spec`` on its shipped
+    assets; skips when they are not trained yet."""
+    require_assets(*spec.assets)
+    return benchmark.pedantic(
+        lambda: run_experiment(spec, scale=scale),
+        rounds=1, iterations=1)
 
 
 def banner(title: str, paper_claim: str) -> None:

@@ -9,31 +9,18 @@ operating ranges, next to TCP Cubic.
 Run:  python examples/link_speed_sweep.py       (~2-3 minutes)
 """
 
-from repro import NetworkConfig, Scale, run_seeds
-from repro.experiments.common import mean_normalized_score
-from repro.experiments.link_speed import TAO_RANGES, sweep_speeds
-from repro.remy.assets import available_assets, load_tree
+from dataclasses import replace
 
-SCALE = Scale(duration_s=12.0, packet_budget=40_000, n_seeds=2)
+from repro import Scale
+from repro.experiments import link_speed, run_experiment
+from repro.remy.assets import available_assets
+
+SCALE = Scale(duration_s=12.0, packet_budget=40_000, n_seeds=2,
+              sweep_points=7)
 SCHEMES = ("tao_2x", "tao_1000x", "cubic")
 
 #: Objective axis of the chart, in log2 units.
 AXIS_LO, AXIS_HI = -4.0, 0.5
-
-
-def config_for(speed_mbps, kind):
-    return NetworkConfig(
-        link_speeds_mbps=(speed_mbps,), rtt_ms=150.0,
-        sender_kinds=(kind, kind), mean_on_s=1.0, mean_off_s=1.0,
-        buffer_bdp=5.0)
-
-
-def score(speed_mbps, scheme, trees):
-    kind = "learner" if scheme in trees else "cubic"
-    config = config_for(speed_mbps, kind)
-    tree_map = {"learner": trees[scheme]} if scheme in trees else None
-    runs = run_seeds(config, trees=tree_map, scale=SCALE)
-    return mean_normalized_score(runs, config)
 
 
 def render_row(value, width=50):
@@ -57,20 +44,24 @@ def main():
         print("  python scripts/train_assets.py --assets "
               + " ".join(missing))
         return
-    trees = {name: load_tree(name) for name in wanted}
+    # The registered Figure 2 spec, cut down to three schemes: one
+    # run_experiment call simulates the whole (scheme x speed x seed)
+    # grid and returns it in long form.
+    spec = replace(link_speed.SPEC, schemes=SCHEMES, reference=None)
+    result = run_experiment(spec, scale=SCALE)
 
     print(f"normalized objective, {AXIS_LO:+.0f} (left) to "
           f"{AXIS_HI:+.1f} (right); '|' marks 0 = omniscient-like")
     for scheme in SCHEMES:
-        lo_hi = TAO_RANGES.get(scheme)
+        lo_hi = link_speed.TAO_RANGES.get(scheme)
         label = f"{scheme} [{lo_hi[0]:g}-{lo_hi[1]:g} Mbps]" \
             if lo_hi else scheme
         print(f"\n--- {label} ---")
-        for speed in sweep_speeds(7):
-            value = score(speed, scheme, trees)
-            in_range = "in " if lo_hi and lo_hi[0] <= speed <= lo_hi[1] \
-                else "out" if lo_hi else "   "
-            print(f"{speed:8.1f} Mbps {in_range} "
+        for row in result.select(scheme):
+            in_range = "   " if not lo_hi \
+                else "in " if row["in_training_range"] else "out"
+            value = row["normalized_objective"]
+            print(f"{row['speed_mbps']:8.1f} Mbps {in_range} "
                   f"{render_row(value)} {value:+.2f}")
 
 

@@ -17,9 +17,13 @@ The script iterates the experiment registry
 figure/table is a registered :class:`ExperimentSpec` (plus one custom
 queue-trace runner), so ``--list`` enumerates them and ``--only``
 selects by eid (``E2``), name (``link_speed``), or title substring.
-Each experiment prints its table as it completes, and the combined
-markdown lands on stdout (or ``-o``).  For grids the paper never ran,
-see ``scripts/sweep.py``.
+Every spec runs through :func:`run_experiment` and prints its own
+table (:meth:`ExperimentSpec.render`) as it completes — on either
+``--backend`` — and the combined markdown lands on stdout (or ``-o``).
+An experiment the run cannot do (an untrained asset, a packet-only
+scheme under ``--backend fluid``) is recorded as ``SKIPPED: <reason>``
+and the rest still run.  For grids the paper never ran, see
+``scripts/sweep.py``.
 
 ``--scale`` picks a named simulation budget
 (:meth:`repro.core.scale.Scale.named`): ``quick`` matches the benchmark
@@ -52,13 +56,12 @@ import sys
 import time
 
 from repro.core.scale import Scale
-from repro.exec import (StoreExecutor, StoreSchemaError, TaskFailedError,
-                        add_fault_tolerance_arguments,
-                        add_workers_argument, executor_for,
-                        policy_from_args, store_main, workers_from_args)
+from repro.exec import (BackendRefusal, TaskFailedError,
+                        add_execution_arguments, executor_from_args,
+                        store_main, store_summary)
 from repro.experiments.api import (FAKE_TREE, experiments,
                                    run_experiment)
-from repro.profiling import add_profile_argument, maybe_profile
+from repro.profiling import maybe_profile
 
 
 def _selected(entries, only):
@@ -99,9 +102,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(Scale.names()),
                         default="quick")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for the simulation grid "
-                             "(1 = serial)")
     parser.add_argument("-o", "--output", default=None,
                         help="also write the combined report here")
     parser.add_argument("--list", action="store_true",
@@ -112,29 +112,17 @@ def main(argv=None) -> int:
                              "comma-separated or repeated")
     parser.add_argument("--backend", choices=("packet", "fluid"),
                         default="packet",
-                        help="simulation engine; 'fluid' runs each "
-                             "spec through the generic sweep engine on "
-                             "the vectorized fluid model (fast, "
-                             "approximate — see docs/PERFORMANCE.md); "
-                             "custom-runner entries are skipped")
+                        help="simulation engine; 'fluid' runs every "
+                             "spec on the vectorized fluid model "
+                             "(approximate — see docs/PERFORMANCE.md) "
+                             "and skips what it cannot run: packet-only "
+                             "schemes and the custom-runner entry")
     parser.add_argument("--fake-taos", action="store_true",
                         help="substitute a fixed hand-built rule table "
                              "for every trained asset (plumbing check, "
                              "not the paper's numbers)")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="disk-backed result store: serve cached "
-                             "simulations from PATH, persist fresh ones "
-                             "(makes killed sweeps resumable)")
-    parser.add_argument("--resume", action="store_true",
-                        help="require --store to exist already (guards "
-                             "against a typo'd path silently recomputing "
-                             "a finished sweep)")
-    add_fault_tolerance_arguments(parser)
-    add_workers_argument(parser)
-    add_profile_argument(parser)
+    add_execution_arguments(parser)
     args = parser.parse_args(argv)
-    if args.resume and not args.store:
-        parser.error("--resume requires --store PATH")
     scale = Scale.named(args.scale)
     if args.list:
         _list_experiments(scale)
@@ -145,19 +133,7 @@ def main(argv=None) -> int:
                  f"(duration<={scale.duration_s:g}s, "
                  f"{scale.n_seeds} seeds, "
                  f"{scale.sweep_points} sweep points)\n")
-    try:
-        workers = workers_from_args(args)
-    except ValueError as error:
-        print(f"--workers: {error}", file=sys.stderr)
-        return 2
-    try:
-        executor = executor_for(args.jobs, store=args.store,
-                                resume=args.resume,
-                                policy=policy_from_args(args),
-                                workers=workers)
-    except (FileNotFoundError, StoreSchemaError) as error:
-        print(f"--store: {error}", file=sys.stderr)
-        return 2
+    executor = executor_from_args(args)
     failed = 0
     with executor, maybe_profile(args.profile):
         for entry in _selected(experiments(), args.only):
@@ -168,20 +144,14 @@ def main(argv=None) -> int:
             started = time.time()
             print(f"\n### {entry.title}", flush=True)
             try:
-                if args.backend == "packet":
-                    block = entry.render(scale, overrides, executor)
-                elif entry.spec is None:
-                    block = ("SKIPPED: custom runner requires the "
-                             "packet backend")
+                if entry.spec is None:
+                    block = entry.custom.run(scale, overrides, executor,
+                                             args.backend)
                 else:
-                    # Legacy renderers are pinned byte-identical to the
-                    # packet engine; fluid tables come from the generic
-                    # spec engine instead.
-                    block = run_experiment(
+                    block = entry.spec.render(run_experiment(
                         entry.spec, scale=scale, trees=overrides,
-                        executor=executor,
-                        backend=args.backend).format_table()
-            except FileNotFoundError as error:
+                        executor=executor, backend=args.backend))
+            except (FileNotFoundError, BackendRefusal) as error:
                 block = f"SKIPPED: {error}"
             except TaskFailedError as error:
                 # One experiment's poison must not silently eat the
@@ -193,14 +163,9 @@ def main(argv=None) -> int:
             elapsed = time.time() - started
             print(f"({elapsed:.0f}s)", flush=True)
             report.write(f"\n### {entry.title}\n```\n{block}\n```\n")
-        if isinstance(executor, StoreExecutor):
-            # To stdout only, never the report: hit counts vary between
-            # a fresh and a resumed run, the tables must not.
-            quarantined = (f", {executor.quarantined} quarantined"
-                           if executor.quarantined else "")
-            print(f"\nstore: {executor.hits} hit(s), "
-                  f"{executor.misses} miss(es){quarantined} -> "
-                  f"{executor.store.path}", flush=True)
+        summary = store_summary(executor)
+        if summary:
+            print(f"\n{summary}", flush=True)
 
     if args.output:
         with open(args.output, "w") as handle:

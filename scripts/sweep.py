@@ -57,34 +57,11 @@ from repro.experiments.adversary import AdversarialAxis
 from repro.experiments.api import (FAKE_TREE, AdhocBase, Axis,
                                    _adhoc_setting, adhoc_spec,
                                    run_experiment)
-from repro.exec import (StoreExecutor, StoreSchemaError, TaskFailedError,
-                        add_fault_tolerance_arguments,
-                        add_workers_argument, executor_for,
-                        policy_from_args, store_main, workers_from_args)
-from repro.profiling import add_profile_argument, maybe_profile
+from repro.exec import (BackendRefusal, TaskFailedError,
+                        add_execution_arguments, executor_from_args,
+                        store_main, store_summary)
+from repro.profiling import maybe_profile
 from repro.protocols.registry import available_schemes
-from repro.sim.fluid import FLUID_SCHEMES
-
-
-def _check_fluid(schemes, base, axes) -> None:
-    """Fail fast at CLI time when ``--backend fluid`` cannot run the
-    request, naming the unsupported kind/feature and what *is*
-    supported (SimTask.build repeats this check as a backstop)."""
-    protocols = set(available_schemes())
-    bad = sorted(name for name in schemes
-                 if name in protocols and name not in FLUID_SCHEMES)
-    if bad:
-        raise ValueError(
-            f"--backend fluid cannot run {', '.join(bad)}; supported "
-            f"kinds: rule-table Taos plus {', '.join(FLUID_SCHEMES)}")
-    jittery = base.jitter_ms > 0 or any(
-        axis.name == "jitter_ms" and any(float(v) > 0
-                                         for v in axis.values)
-        for axis in axes)
-    if jittery:
-        raise ValueError(
-            "--backend fluid: rtt jitter is packet-only (no fluid "
-            "analogue); outage and rate-trace dynamics are supported")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -104,9 +81,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seeds", type=int, default=None,
                         help="override the scale's replication count")
     parser.add_argument("--base-seed", type=int, default=1)
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for the grid "
-                             "(1 = serial)")
     parser.add_argument("--backend", choices=("packet", "fluid"),
                         default="packet",
                         help="simulation engine: exact event-driven "
@@ -181,18 +155,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="write the long-form rows as CSV")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the long-form rows as JSON")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="disk-backed result store (makes killed "
-                             "sweeps resumable)")
-    parser.add_argument("--resume", action="store_true",
-                        help="require --store to exist already (typo "
-                             "guard)")
-    add_fault_tolerance_arguments(parser)
-    add_workers_argument(parser)
-    add_profile_argument(parser)
+    add_execution_arguments(parser)
     args = parser.parse_args(argv)
-    if args.resume and not args.store:
-        parser.error("--resume requires --store PATH")
     if not args.axis and not args.adversary:
         parser.error("need at least one --axis NAME=SPEC "
                      "(or --adversary)")
@@ -230,8 +194,6 @@ def main(argv=None) -> int:
                if name.strip()]
     try:
         axes = [Axis.parse(text) for text in args.axis]
-        if args.backend == "fluid":
-            _check_fluid(schemes, base, axes)
         adversary = None
         if args.adversary:
             if any(axis.name == "outage" for axis in axes):
@@ -260,19 +222,7 @@ def main(argv=None) -> int:
         overrides = {name: FAKE_TREE for name in schemes
                      if name not in protocols}
 
-    try:
-        workers = workers_from_args(args)
-    except ValueError as error:
-        print(f"--workers: {error}", file=sys.stderr)
-        return 2
-    try:
-        executor = executor_for(args.jobs, store=args.store,
-                                resume=args.resume,
-                                policy=policy_from_args(args),
-                                workers=workers)
-    except (FileNotFoundError, StoreSchemaError) as error:
-        print(f"--store: {error}", file=sys.stderr)
-        return 2
+    executor = executor_from_args(args)
     started = time.time()
     with executor, maybe_profile(args.profile):
         try:
@@ -290,6 +240,9 @@ def main(argv=None) -> int:
                 spec, scale=scale, trees=overrides,
                 base_seed=args.base_seed, executor=executor,
                 backend=args.backend)
+        except BackendRefusal as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         except FileNotFoundError as error:
             print(f"missing asset: {error}", file=sys.stderr)
             print("(train it with scripts/train_assets.py, or pass "
@@ -311,12 +264,9 @@ def main(argv=None) -> int:
         table = result.format_table()
         print(table, flush=True)
         print(f"({time.time() - started:.0f}s)", flush=True)
-        if isinstance(executor, StoreExecutor):
-            quarantined = (f", {executor.quarantined} quarantined"
-                           if executor.quarantined else "")
-            print(f"store: {executor.hits} hit(s), "
-                  f"{executor.misses} miss(es){quarantined} -> "
-                  f"{executor.store.path}", flush=True)
+        summary = store_summary(executor)
+        if summary:
+            print(summary, flush=True)
 
     if args.output:
         with open(args.output, "w") as handle:

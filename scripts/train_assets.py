@@ -44,12 +44,10 @@ import time
 from dataclasses import asdict
 
 from repro.core.scale import Scale
-from repro.exec import (StoreExecutor, StoreSchemaError, TaskFailedError,
-                        add_fault_tolerance_arguments,
-                        add_workers_argument, default_jobs,
-                        executor_for, policy_from_args, store_main,
-                        workers_from_args)
-from repro.profiling import add_profile_argument, maybe_profile
+from repro.exec import (TaskFailedError, add_execution_arguments,
+                        default_jobs, executor_from_args, store_main,
+                        store_summary)
+from repro.profiling import maybe_profile
 from repro.remy.assets import save_asset
 from repro.remy.catalog import CATALOG
 from repro.remy.evaluator import EvalSettings
@@ -64,10 +62,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="catalog names to train")
     parser.add_argument("--all", action="store_true",
                         help="train every catalog entry")
-    parser.add_argument("-j", "--jobs", type=int,
-                        dest="jobs", default=default_jobs(),
-                        help="worker processes for simulation batches "
-                             "(1 = serial)")
     parser.add_argument("--budget", type=float, default=360.0,
                         help="wall-clock seconds per asset")
     parser.add_argument("--generations", type=int, default=2)
@@ -87,26 +81,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--confirm-top", type=int, default=4,
                         help="screened candidates to packet-confirm "
                              "per batch (with --screen)")
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        help="disk-backed result store: serve cached "
-                             "training simulations from PATH, persist "
-                             "fresh ones (makes killed runs resumable)")
-    parser.add_argument("--resume", action="store_true",
-                        help="require --store to exist already (typo "
-                             "guard)")
-    add_fault_tolerance_arguments(parser)
-    add_workers_argument(parser)
-    add_profile_argument(parser)
-    args = parser.parse_args(argv)
-    if args.resume and not args.store:
-        parser.error("--resume requires --store PATH")
-    if args.workers and args.workers.isdigit():
-        # Pre-remote builds accepted --workers N as a --jobs alias;
-        # keep that spelling working instead of rejecting it as a
-        # malformed HOST:PORT.
-        args.jobs = int(args.workers)
-        args.workers = None
-    return args
+    add_execution_arguments(parser, default_jobs=default_jobs())
+    return parser.parse_args(argv)
 
 
 def settings_for(args: argparse.Namespace,
@@ -183,19 +159,7 @@ def main(argv=None) -> int:
         return 2
 
     done = set()
-    try:
-        workers = workers_from_args(args)
-    except ValueError as error:
-        print(f"--workers: {error}", file=sys.stderr)
-        return 2
-    try:
-        executor = executor_for(args.jobs, store=args.store,
-                                resume=args.resume,
-                                policy=policy_from_args(args),
-                                workers=workers)
-    except (FileNotFoundError, StoreSchemaError) as error:
-        print(f"--store: {error}", file=sys.stderr)
-        return 2
+    executor = executor_from_args(args)
     with executor, maybe_profile(args.profile):
         try:
             for name in names:
@@ -214,10 +178,9 @@ def main(argv=None) -> int:
             # search — so any exhausted task aborts the asset.
             print(f"training aborted: {error}", file=sys.stderr)
             return 3
-        if isinstance(executor, StoreExecutor):
-            print(f"store: {executor.hits} hit(s), "
-                  f"{executor.misses} miss(es) -> {executor.store.path}",
-                  flush=True)
+        summary = store_summary(executor)
+        if summary:
+            print(summary, flush=True)
     return 0
 
 

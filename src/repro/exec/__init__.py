@@ -22,6 +22,9 @@ batch-execution layer:
   processes.
 * :func:`run_batch` / :func:`executor_for` — the entry points callers
   actually use (both accept ``store=``).
+* :func:`add_execution_arguments` / :func:`executor_from_args` — the
+  same, for a script: the shared ``--jobs/--store/--resume/--workers``
+  and fault-tolerance flags, and the executor they imply.
 
 See ``docs/EXECUTION.md`` for the architecture, the determinism
 contract (serial, pooled, and store-backed execution are
@@ -29,30 +32,31 @@ bitwise-identical), and the on-disk store format.
 """
 
 from .batch import executor_for, run_batch
+from .cli import (add_execution_arguments, executor_from_args,
+                  store_summary)
 from .executors import (CachingExecutor, Executor, ProcessPoolExecutor,
                         SerialExecutor, default_jobs, pack_chunks)
 from .remote import (RemoteExecutor, RemoteStats, WorkerServer,
-                     add_workers_argument, parse_workers, serve_worker,
-                     workers_from_args)
+                     parse_workers, serve_worker)
 from .store import (SCHEMA_VERSION, ResultStore, StoreExecutor,
                     StoreSchemaError, StoreStats, store_main)
 from .scheduler import RetryPolicy, TaskFailedError
-from .supervise import (SupervisedExecutor, SuperviseStats,
-                        add_fault_tolerance_arguments, policy_from_args)
-from .task import (BACKENDS, SimTask, SimTaskResult, TaskFailure,
-                   cache_key, run_sim_task, run_task_group, task_cost)
+from .supervise import SupervisedExecutor, SuperviseStats
+from .task import (BACKENDS, BackendRefusal, SimTask, SimTaskResult,
+                   TaskFailure, cache_key, run_sim_task, run_task_group,
+                   task_cost)
 
 __all__ = [
     "SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
-    "run_task_group", "cache_key", "BACKENDS",
+    "run_task_group", "cache_key", "BACKENDS", "BackendRefusal",
     "Executor", "SerialExecutor", "ProcessPoolExecutor",
     "CachingExecutor", "StoreExecutor", "SupervisedExecutor",
     "RemoteExecutor", "RemoteStats", "WorkerServer", "serve_worker",
-    "parse_workers", "add_workers_argument", "workers_from_args",
+    "parse_workers",
     "default_jobs", "pack_chunks", "task_cost",
     "RetryPolicy", "SuperviseStats", "TaskFailedError",
-    "add_fault_tolerance_arguments", "policy_from_args",
     "ResultStore", "StoreStats", "StoreSchemaError", "SCHEMA_VERSION",
     "store_main",
     "run_batch", "executor_for",
+    "add_execution_arguments", "executor_from_args", "store_summary",
 ]

@@ -34,7 +34,6 @@ trust, exactly like any other pickle-based RPC
 
 from __future__ import annotations
 
-import argparse
 import pickle
 import select
 import socket
@@ -56,8 +55,7 @@ from .supervise import SupervisedExecutor
 from .task import SimTask, SimTaskResult
 
 __all__ = ["FrameError", "RemoteExecutor", "RemoteStats", "WorkerServer",
-           "add_workers_argument", "parse_workers", "recv_frame",
-           "send_frame", "serve_worker", "workers_from_args"]
+           "parse_workers", "recv_frame", "send_frame", "serve_worker"]
 
 # ----------------------------------------------------------------------
 # Wire format: 4-byte magic, big-endian (crc32, length) header, pickled
@@ -662,27 +660,3 @@ class RemoteExecutor(ProcessPoolExecutor):
                     pass
         if fallback is not None:
             fallback.close()
-
-
-# ----------------------------------------------------------------------
-# CLI surface, shared by sweep.py / run_experiments.py /
-# train_assets.py.
-
-
-def add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="dispatch simulation batches to these repro worker "
-             "daemons (scripts/worker.py) instead of local processes; "
-             "list an address twice for two parallel lanes.  Zero "
-             "reachable workers degrades to the local supervised pool "
-             "with a warning")
-
-
-def workers_from_args(args: argparse.Namespace
-                      ) -> Optional[List[Tuple[str, int]]]:
-    spec = getattr(args, "workers", None)
-    if not spec:
-        return None
-    return parse_workers(spec)

@@ -13,7 +13,6 @@ assignment must not survive into the next batch.
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -24,8 +23,7 @@ from . import faults
 from .executors import ProcessPoolExecutor
 from .scheduler import LOST, RetryPolicy, run_assignment
 
-__all__ = ["SupervisedExecutor", "SuperviseStats",
-           "add_fault_tolerance_arguments", "policy_from_args"]
+__all__ = ["SupervisedExecutor", "SuperviseStats"]
 
 
 @dataclass
@@ -186,29 +184,3 @@ class SupervisedExecutor(ProcessPoolExecutor):
         for handle in workers:
             handle.process.join(timeout=1.0)
             handle.reap()
-
-
-def add_fault_tolerance_arguments(parser: argparse.ArgumentParser
-                                  ) -> None:
-    """The CLI surface of :class:`RetryPolicy`, shared by the scripts."""
-    group = parser.add_argument_group("fault tolerance")
-    group.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries per failing task before giving up (default 2)")
-    group.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="flat per-task wall-clock budget; default derives one "
-             "from each task's simulated-event cost")
-    group.add_argument(
-        "--on-failure", choices=("raise", "quarantine"),
-        default="raise",
-        help="raise: abort the run on the first exhausted task "
-             "(default).  quarantine: record the failure, finish "
-             "everything else, then exit non-zero naming the "
-             "quarantined fingerprints")
-
-
-def policy_from_args(args: argparse.Namespace) -> RetryPolicy:
-    return RetryPolicy(max_retries=args.max_retries,
-                       task_timeout_s=args.task_timeout,
-                       on_failure=args.on_failure)

@@ -28,12 +28,19 @@ from ..core.scale import PACKET_BYTES
 
 __all__ = ["SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
            "run_task_group", "task_units", "task_cost", "cache_key",
-           "BACKENDS"]
+           "BACKENDS", "BackendRefusal"]
 
 #: Simulation backends a task may select.  ``"packet"`` is the exact
 #: event-driven engine (the source of truth); ``"fluid"`` is the
 #: vectorized discrete-time approximation (:mod:`repro.sim.fluid`).
 BACKENDS = ("packet", "fluid")
+
+
+class BackendRefusal(ValueError):
+    """The selected backend cannot run a scenario (a packet-only scheme
+    or dynamics feature on ``"fluid"``).  Raised by :meth:`SimTask.build`
+    — so before anything in the batch has run — for the CLIs to report
+    as one line instead of a traceback."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class SimTask:
                 else NetworkConfig.from_dict(config_dict)
             reason = fluid_refusal(cfg, tree_kinds=[k for k, _ in pairs])
             if reason is not None:
-                raise ValueError(
+                raise BackendRefusal(
                     f"backend 'fluid' cannot run this task: {reason}")
         return cls(config=config_dict, trees=tuple(pairs), seed=seed,
                    duration_s=duration_s, record_usage=record_usage,

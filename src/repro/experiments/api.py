@@ -12,7 +12,8 @@ every such sweep runs on:
   a ``build`` hook turning one ``(scheme, grid point)`` into a
   :class:`Cell` (a :class:`~repro.core.scenario.NetworkConfig` plus the
   rule-table assets each sender kind runs), a per-cell ``metrics`` hook,
-  and an optional analytic ``reference`` bound.
+  an optional analytic ``reference`` bound, and an optional ``table``
+  hook rendering the paper-shaped text of its :class:`SweepResult`.
 * :func:`run_experiment` — the one generic engine: expands
   ``spec × Scale`` into a single flat ``(config, trees, seed)`` batch
   through :func:`~repro.experiments.common.run_seed_batch` (so ``--jobs``
@@ -20,16 +21,17 @@ every such sweep runs on:
   uniform long-form :class:`SweepResult` with shared ``format_table``,
   ``to_csv``, and ``to_json``.
 * the experiment **registry** — every reproduced figure/table registers
-  an :class:`Experiment` here; ``scripts/run_experiments.py --list`` and
-  ``--only`` iterate it generically.
+  its spec here under a paper ordinal; ``scripts/run_experiments.py``
+  iterates it generically (``--list``, ``--only``) and runs every entry
+  the same way on either backend.
 * :func:`adhoc_spec` — compose grids the paper never ran
   (``scripts/sweep.py --axis rtt_ms=log:1:300:7 --axis
   queue=droptail,codel --schemes cubic,tao_rtt_50_250``).
 
-The eight experiment modules define specs on these types and keep thin
-back-compat ``run()``/``format_table()`` wrappers whose output is
-byte-identical to the pre-spec code (pinned by
-``tests/test_table_parity.py``).  See ``docs/EXPERIMENTS.md``.
+The experiment modules hold a spec, its ``table`` function (pinned
+byte for byte by ``tests/test_table_parity.py``) and the few derived
+quantities the tables print — no result types of their own.  See
+``docs/EXPERIMENTS.md``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..core.objective import normalized_objective
 from ..core.omniscient import dumbbell_expected_throughput
-from ..core.results import EllipsePoint, RunResult
+from ..core.results import FlowStats, RunResult, summarize_ellipse
 from ..core.scale import DEFAULT, Scale
 from ..core.scenario import NetworkConfig
 from ..exec import Executor
@@ -59,10 +61,13 @@ from .common import mean_normalized_score, run_seed_batch, scored_flows
 __all__ = [
     "Axis", "Cell", "CellPlan", "ExperimentSpec", "SweepResult",
     "expand", "run_experiment",
-    "Experiment", "register", "get_experiment", "experiments",
+    "Experiment", "CustomRun", "register", "get_experiment",
+    "experiments",
     "AdhocBase", "adhoc_spec",
-    "ellipse_row", "ellipse_from_row",
-    "objective_metrics", "baseline_queue", "FAKE_TREE",
+    "objective_metrics", "summary_metrics", "ellipse_metrics",
+    "kind_ellipse_metrics", "omniscient_objective",
+    "dumbbell_reference", "pivot_lines", "PIVOT_FOOTNOTE",
+    "baseline_queue", "FAKE_TREE",
 ]
 
 #: The stand-in rule table ``--fake-taos`` (both CLIs) and the parity /
@@ -267,6 +272,8 @@ ReferenceFn = Callable[
     Union[Mapping[str, object], Sequence[Mapping[str, object]]]]
 #: Static axes, or a hook deriving them from the run's Scale.
 AxesLike = Union[Sequence[Axis], Callable[[Scale], Sequence[Axis]]]
+#: ``SweepResult -> text`` — a spec's paper-shaped table.
+TableFn = Callable[["SweepResult"], str]
 
 
 @dataclass
@@ -290,6 +297,9 @@ class ExperimentSpec:
     #: Every trained asset the spec's cells may reference (what
     #: ``--fake-taos`` substitutes).
     assets: Tuple[str, ...] = ()
+    #: The paper's table of this sweep's result; without one,
+    #: :meth:`render` falls back to the generic long-form table.
+    table: Optional[TableFn] = None
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -298,6 +308,12 @@ class ExperimentSpec:
     def axes_for(self, scale: Scale) -> Tuple[Axis, ...]:
         axes = self.axes(scale) if callable(self.axes) else self.axes
         return tuple(axes)
+
+    def render(self, result: "SweepResult") -> str:
+        """``result`` (a run of this spec) as report text."""
+        if self.table is None:
+            return result.format_table()
+        return self.table(result)
 
 
 def expand(spec: ExperimentSpec, scale: Scale = DEFAULT
@@ -436,6 +452,16 @@ class SweepResult:
                    for key, value in coords.items()):
                 yield row
 
+    def one(self, scheme: Optional[str] = None,
+            **coords: object) -> Dict[str, object]:
+        """The row :meth:`select` matches; ``KeyError`` unless exactly
+        one does."""
+        rows = list(self.select(scheme, **coords))
+        if len(rows) != 1:
+            raise KeyError(f"{len(rows)} rows of {self.name!r} match "
+                           f"scheme={scheme!r} {coords}")
+        return rows[0]
+
     def columns(self) -> List[str]:
         """Stable column order: scheme, axes, metrics/labels, range."""
         out = ["scheme", *self.axis_names]
@@ -520,50 +546,154 @@ def objective_metrics(scheme: str, point: Mapping[str, object],
     return {"normalized_objective": mean_normalized_score(runs, config)}
 
 
+def summary_metrics(scheme: str, point: Mapping[str, object],
+                    config: NetworkConfig,
+                    runs: Sequence[RunResult]) -> Dict[str, object]:
+    """Mean objective next to mean throughput and queueing delay of the
+    scored flows (the E10 and ad-hoc sweep columns)."""
+    row: Dict[str, object] = {
+        "mean_objective": mean_normalized_score(runs, config)}
+    flows = [flow for result in runs for flow in scored_flows(result)
+             if flow.packets_delivered]
+    if flows:
+        row["tpt_mbps"] = (sum(f.throughput_bps for f in flows)
+                           / len(flows) / 1e6)
+        row["qdelay_ms"] = (sum(f.queueing_delay_s for f in flows)
+                            / len(flows) * 1e3)
+    return row
+
+
+def _ellipse(flows: Sequence[FlowStats]) -> Dict[str, object]:
+    return asdict(summarize_ellipse(
+        [flow.throughput_bps for flow in flows],
+        [flow.queueing_delay_s for flow in flows]))
+
+
+def ellipse_metrics(scheme: str, point: Mapping[str, object],
+                    config: NetworkConfig,
+                    runs: Sequence[RunResult]) -> Dict[str, object]:
+    """The Figure 1 metric: one throughput/delay ellipse over every
+    flow of the cell that delivered anything."""
+    return _ellipse([flow for result in runs for flow in result.flows
+                     if flow.packets_delivered])
+
+
+def kind_ellipse_metrics(scheme: str, point: Mapping[str, object],
+                         config: NetworkConfig,
+                         runs: Sequence[RunResult]
+                         ) -> List[Dict[str, object]]:
+    """The Figures 7/9 metric: one ellipse row per sender kind of the
+    cell (kinds that delivered nothing get no row)."""
+    rows: List[Dict[str, object]] = []
+    for kind in dict.fromkeys(config.sender_kinds):
+        flows = [flow for result in runs
+                 for flow in result.flows_of_kind(kind)
+                 if flow.packets_delivered]
+        if flows:
+            rows.append({"kind": kind, **_ellipse(flows)})
+    return rows
+
+
+def dumbbell_reference(config: NetworkConfig) -> Dict[str, object]:
+    """The omniscient protocol on a dumbbell — every sender's expected
+    fair allocation at zero queueing delay — in :func:`summary_metrics`
+    columns."""
+    expected = dumbbell_expected_throughput(
+        config.link_speed_bps(0), config.num_senders, config.p_on)
+    min_delay = config.rtt_ms / 2e3
+    return {
+        "mean_objective": normalized_objective(
+            expected, min_delay, config.fair_share_bps(), min_delay),
+        "tpt_mbps": expected / 1e6,
+        "qdelay_ms": 0.0,
+    }
+
+
+def omniscient_objective(config: NetworkConfig) -> float:
+    """Normalized objective of the dumbbell omniscient bound (the
+    Figures 2-4 reference)."""
+    return dumbbell_reference(config)["mean_objective"]
+
+
 def baseline_queue(scheme: str) -> str:
     """Queue discipline a human-baseline scheme column implies."""
     return "sfq_codel" if scheme == "cubic_sfqcodel" else "droptail"
 
 
-# ----------------------------------------------------------------------
-# EllipsePoint <-> row plumbing (Figures 1/7/9-style summaries)
-# ----------------------------------------------------------------------
-_ELLIPSE_FIELDS = tuple(f.name for f in fields(EllipsePoint))
+PIVOT_FOOTNOTE = "(* = outside that Tao's training range)"
 
 
-def ellipse_row(point: EllipsePoint) -> Dict[str, object]:
-    """Flatten an :class:`EllipsePoint` into sweep-row columns."""
-    return {name: getattr(point, name) for name in _ELLIPSE_FIELDS}
-
-
-def ellipse_from_row(row: Mapping[str, object]) -> EllipsePoint:
-    """Rebuild the :class:`EllipsePoint` a row was flattened from."""
-    return EllipsePoint(**{name: row[name] for name in _ELLIPSE_FIELDS})
+def pivot_lines(rows: Iterable[Mapping[str, object]], axis: str,
+                label: str, axis_format: str,
+                width: int) -> List[str]:
+    """The Figures 2-4 table body: ``normalized_objective`` pivoted to
+    one line per ``axis`` value and one ``width``-wide column per scheme
+    (first-appearance order), ``*`` marking out-of-range cells."""
+    rows = list(rows)
+    schemes = list(dict.fromkeys(row["scheme"] for row in rows))
+    cell = {(row["scheme"], row[axis]): row for row in rows}
+    lines = [f"{label:>8} "
+             + " ".join(f"{scheme:>{width}}" for scheme in schemes)]
+    for value in sorted({row[axis] for row in rows}):
+        cells = [
+            f"{cell[scheme, value]['normalized_objective']:>{width - 1}.2f}"
+            + (" " if cell[scheme, value]["in_training_range"] else "*")
+            for scheme in schemes]
+        lines.append(f"{value:>8{axis_format}} " + " ".join(cells))
+    return lines
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-#: ``(scale, asset overrides, executor) -> legacy table text``.
-RenderFn = Callable[
-    [Scale, Optional[Mapping[str, WhiskerTree]], Optional[Executor]], str]
+@dataclass(frozen=True)
+class CustomRun:
+    """A registry entry that is not a sweep (the Figure 8 queue trace):
+    what a spec would have declared, plus the runner itself."""
+
+    name: str
+    title: str
+    assets: Tuple[str, ...]
+    #: ``(scale, asset overrides, executor, backend) -> report text``;
+    #: raises :class:`~repro.exec.BackendRefusal` for a backend it
+    #: cannot use.
+    run: Callable[[Scale, Optional[Mapping[str, WhiskerTree]],
+                   Optional[Executor], str], str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Experiment:
-    """One registered reproduction: a spec plus its legacy renderer.
+    """One registered reproduction: a paper ordinal and either the
+    spec the generic engine runs or, for the one non-sweep entry, a
+    :class:`CustomRun`.  ``name`` / ``title`` / ``assets`` are the
+    spec's (or the custom entry's) own."""
 
-    ``render`` produces the module's classic table text (byte-identical
-    to the pre-spec code); ``spec`` is the declarative form the generic
-    engine and ad-hoc tooling consume.  ``spec`` is ``None`` for the one
-    non-sweep entry (the Figure 8 queue trace)."""
-
-    eid: str            # paper ordinal, "E1".."E9"
-    name: str           # module-ish key, e.g. "link_speed"
-    title: str          # the CLI/report section heading
-    render: RenderFn
+    eid: str            # paper ordinal, "E1".."E10"
     spec: Optional[ExperimentSpec] = None
-    assets: Tuple[str, ...] = ()
+    custom: Optional[CustomRun] = None
+
+    def __post_init__(self) -> None:
+        if (self.spec is None) == (self.custom is None):
+            raise ValueError(
+                f"{self.eid}: give exactly one of spec / custom")
+
+    @property
+    def _declared(self) -> Union[ExperimentSpec, CustomRun]:
+        return self.spec if self.spec is not None else self.custom
+
+    @property
+    def name(self) -> str:
+        """Module-ish key, e.g. ``"link_speed"``."""
+        return self._declared.name
+
+    @property
+    def title(self) -> str:
+        """The CLI/report section heading."""
+        return self._declared.title
+
+    @property
+    def assets(self) -> Tuple[str, ...]:
+        return self._declared.assets
 
 
 _REGISTRY: Dict[str, Experiment] = {}
@@ -757,44 +887,17 @@ def adhoc_spec(axes: Sequence[Axis],
     def metrics(scheme: str, point: Mapping[str, object],
                 config: NetworkConfig,
                 runs: Sequence[RunResult]) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "mean_objective": mean_normalized_score(runs, config)}
-        tpts: List[float] = []
-        delays: List[float] = []
-        utils: List[float] = []
-        for result in runs:
-            utils.append(result.bottleneck_utilization)
-            for flow in scored_flows(result):
-                if flow.packets_delivered == 0:
-                    continue
-                tpts.append(flow.throughput_bps)
-                delays.append(flow.queueing_delay_s)
-        if tpts:
-            row["tpt_mbps"] = sum(tpts) / len(tpts) / 1e6
-            row["qdelay_ms"] = sum(delays) / len(delays) * 1e3
-        row["utilization"] = sum(utils) / len(utils)
+        row = summary_metrics(scheme, point, config, runs)
+        row["utilization"] = (sum(result.bottleneck_utilization
+                                  for result in runs) / len(runs))
         return row
 
     reference: Optional[ReferenceFn] = None
     if bound:
         def reference(point: Mapping[str, object]) -> Dict[str, object]:
-            settings = settings_for(point)
-            n = int(settings["n_senders"])
-            speed_bps = float(settings["link_mbps"]) * 1e6
-            on_off_total = (settings["mean_on_s"]
-                            + settings["mean_off_s"])
-            # Same guard as NetworkConfig.p_on: the both-zero
-            # degenerate means always-on, not ZeroDivisionError.
-            p_on = (settings["mean_on_s"] / on_off_total
-                    if on_off_total > 0 else 1.0)
-            expected = dumbbell_expected_throughput(speed_bps, n, p_on)
-            min_delay = float(settings["rtt_ms"]) / 2e3
-            return {
-                "mean_objective": normalized_objective(
-                    expected, min_delay, speed_bps / n, min_delay),
-                "tpt_mbps": expected / 1e6,
-                "qdelay_ms": 0.0,
-            }
+            # The bound reads only the network, which every scheme of a
+            # grid point shares.
+            return dumbbell_reference(build(schemes[0], point).config)
 
     return ExperimentSpec(
         name=name, schemes=schemes, axes=axes, build=build,

@@ -11,19 +11,15 @@ throughput *and* delay simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, Mapping
 
 from ..core.omniscient import omniscient_dumbbell
-from ..core.results import EllipsePoint, RunResult, summarize_ellipse
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
-from .api import (Cell, Experiment, ExperimentSpec, ellipse_from_row,
-                  ellipse_row, register, run_experiment)
-from .common import DEFAULT, Scale
+from .api import (Cell, Experiment, ExperimentSpec, SweepResult,
+                  ellipse_metrics, register)
 
-__all__ = ["CALIBRATION_CONFIG", "SPEC", "CalibrationResult", "run",
+__all__ = ["CALIBRATION_CONFIG", "SPEC", "throughput_vs_omniscient",
            "format_table"]
 
 #: Table 1's network parameters.
@@ -40,39 +36,11 @@ _SCHEMES = {
 }
 
 
-@dataclass
-class CalibrationResult:
-    """Throughput/queueing-delay summaries per scheme (Figure 1)."""
-
-    points: Dict[str, EllipsePoint] = field(default_factory=dict)
-    omniscient_throughput_bps: float = 0.0
-    omniscient_delay_s: float = 0.0
-
-    def throughput_vs_omniscient(self, scheme: str) -> float:
-        """Scheme median throughput as a fraction of omniscient."""
-        return (self.points[scheme].median_throughput_bps
-                / self.omniscient_throughput_bps)
-
-
 def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     kinds, queue = _SCHEMES[scheme]
     config = replace(CALIBRATION_CONFIG, sender_kinds=kinds,
                      deltas=tuple(1.0 for _ in kinds), queue=queue)
     return Cell(config, {"learner": "tao_calibration"})
-
-
-def _metrics(scheme: str, point: Mapping[str, object],
-             config: NetworkConfig,
-             runs: Sequence[RunResult]) -> Dict[str, object]:
-    throughputs: List[float] = []
-    delays: List[float] = []
-    for run_result in runs:
-        for flow in run_result.flows:
-            if flow.packets_delivered == 0:
-                continue
-            throughputs.append(flow.throughput_bps)
-            delays.append(flow.queueing_delay_s)
-    return ellipse_row(summarize_ellipse(throughputs, delays))
 
 
 def _reference(point: Mapping[str, object]) -> Dict[str, object]:
@@ -82,65 +50,43 @@ def _reference(point: Mapping[str, object]) -> Dict[str, object]:
             "median_delay_s": 0.0}
 
 
-SPEC = ExperimentSpec(
-    name="calibration",
-    title="E1 Figure 1 / Table 1 — calibration",
-    schemes=tuple(_SCHEMES),
-    axes=(),
-    build=_build,
-    metrics=_metrics,
-    reference=_reference,
-    assets=("tao_calibration",),
-)
+def throughput_vs_omniscient(result: SweepResult, scheme: str) -> float:
+    """Scheme median throughput as a fraction of omniscient."""
+    return (result.one(scheme)["median_throughput_bps"]
+            / result.one("omniscient")["median_throughput_bps"])
 
 
-def run(scale: Scale = DEFAULT,
-        tree: Optional[WhiskerTree] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> CalibrationResult:
-    """Run the calibration experiment at the given scale.
-
-    ``tree`` overrides the shipped ``tao_calibration`` rule table;
-    ``executor`` fans the (scheme × seed) grid out through
-    :mod:`repro.exec`.
-    """
-    overrides = {"tao_calibration": tree} if tree is not None else None
-    sweep = run_experiment(SPEC, scale=scale, trees=overrides,
-                           base_seed=base_seed, executor=executor)
-    result = CalibrationResult()
-    for row in sweep.rows:
-        if row["scheme"] == SPEC.reference_scheme:
-            result.omniscient_throughput_bps = \
-                row["median_throughput_bps"]
-            result.omniscient_delay_s = row["median_delay_s"]
-        else:
-            result.points[row["scheme"]] = ellipse_from_row(row)
-    return result
-
-
-def format_table(result: CalibrationResult) -> str:
+def format_table(result: SweepResult) -> str:
     """Figure 1 as text: median throughput and queueing delay."""
     lines = [
         "Calibration experiment (Table 1 / Figure 1)",
         f"{'scheme':<16} {'tpt (Mbps)':>12} {'qdelay (ms)':>12} "
         f"{'vs omniscient':>14}",
     ]
-    for scheme, point in result.points.items():
-        ratio = result.throughput_vs_omniscient(scheme)
+    for scheme in _SCHEMES:
+        row = result.one(scheme)
+        ratio = throughput_vs_omniscient(result, scheme)
         lines.append(
-            f"{scheme:<16} {point.median_throughput_bps / 1e6:>12.2f} "
-            f"{point.median_delay_s * 1e3:>12.1f} {ratio:>13.0%}")
+            f"{scheme:<16} {row['median_throughput_bps'] / 1e6:>12.2f} "
+            f"{row['median_delay_s'] * 1e3:>12.1f} {ratio:>13.0%}")
+    omniscient = result.one("omniscient")
     lines.append(
         f"{'omniscient':<16} "
-        f"{result.omniscient_throughput_bps / 1e6:>12.2f} "
+        f"{omniscient['median_throughput_bps'] / 1e6:>12.2f} "
         f"{0.0:>12.1f} {'100%':>14}")
     return "\n".join(lines)
 
 
-def _render(scale, trees, executor) -> str:
-    tree = (trees or {}).get("tao_calibration")
-    return format_table(run(scale=scale, tree=tree, executor=executor))
+SPEC = ExperimentSpec(
+    name="calibration",
+    title="E1 Figure 1 / Table 1 — calibration",
+    schemes=tuple(_SCHEMES),
+    axes=(),
+    build=_build,
+    metrics=ellipse_metrics,
+    reference=_reference,
+    assets=("tao_calibration",),
+    table=format_table,
+)
 
-
-register(Experiment(eid="E1", name="calibration", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E1", SPEC))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.objective import normalized_objective
@@ -44,7 +43,7 @@ from ..topology.graph import BuiltTopology
 from ..topology.parking_lot import parking_lot
 
 __all__ = ["Scale", "SimulationHandle", "build_simulation", "run_config",
-           "run_seeds", "run_seeds_parallel", "run_seed_batch",
+           "run_seeds", "run_seed_batch",
            "scored_flows", "mean_normalized_score",
            "QUICK", "DEFAULT", "FULL"]
 
@@ -275,19 +274,6 @@ def run_seeds(config: NetworkConfig,
     return run_seed_batch([(config, trees)], scale=scale,
                           base_seed=base_seed, executor=executor,
                           store=store, jobs=jobs, backend=backend)[0]
-
-
-def run_seeds_parallel(config: NetworkConfig,
-                       trees: Optional[Dict[str, WhiskerTree]] = None,
-                       scale: Scale = DEFAULT,
-                       base_seed: int = 1,
-                       jobs: Optional[int] = None) -> List[RunResult]:
-    """Deprecated alias for :func:`run_seeds` with ``jobs=``."""
-    warnings.warn("run_seeds_parallel is deprecated; use "
-                  "run_seeds(..., jobs=N)", DeprecationWarning,
-                  stacklevel=2)
-    return run_seeds(config, trees=trees, scale=scale,
-                     base_seed=base_seed, jobs=jobs)
 
 
 def _seed_tasks(config: NetworkConfig,

@@ -14,19 +14,13 @@ of playing nice"), both alone and mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
-from ..core.results import (EllipsePoint, RunResult,
-                            summarize_ellipse)
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
-from .api import (Cell, Experiment, ExperimentSpec, ellipse_from_row,
-                  ellipse_row, register, run_experiment)
-from .common import DEFAULT, Scale
+from .api import (Cell, Experiment, ExperimentSpec, SweepResult,
+                  kind_ellipse_metrics, register)
 
-__all__ = ["SPEC", "DiversityResult", "run", "format_table", "SETTINGS"]
+__all__ = ["SPEC", "SETTINGS", "format_table"]
 
 _TPT_DELTA = 0.1
 _DEL_DELTA = 10.0
@@ -73,43 +67,36 @@ def _config_for(kinds: Tuple[str, ...],
         queue="droptail")
 
 
-@dataclass
-class DiversityResult:
-    """Per (setting, sender kind) throughput/delay summaries."""
-
-    points: Dict[Tuple[str, str], EllipsePoint] = field(
-        default_factory=dict)
-
-    def throughput_mbps(self, setting: str, kind: str) -> float:
-        return self.points[(setting, kind)].median_throughput_bps / 1e6
-
-    def qdelay_ms(self, setting: str, kind: str) -> float:
-        return self.points[(setting, kind)].median_delay_s * 1e3
-
-
 def _build(setting: str, point: Mapping[str, object]) -> Cell:
     kinds, assets, deltas = SETTINGS[setting]
     return Cell(_config_for(kinds, deltas), dict(assets))
 
 
-def _metrics(setting: str, point: Mapping[str, object],
-             config: NetworkConfig,
-             runs: Sequence[RunResult]) -> List[Dict[str, object]]:
-    kinds, _, _ = SETTINGS[setting]
-    rows: List[Dict[str, object]] = []
-    for kind in dict.fromkeys(kinds):
-        tpts, delays = [], []
-        for run_result in runs:
-            for flow in run_result.flows_of_kind(kind):
-                if flow.packets_delivered == 0:
-                    continue
-                tpts.append(flow.throughput_bps)
-                delays.append(flow.queueing_delay_s)
-        if tpts:
-            rows.append({"kind": kind,
-                         **ellipse_row(summarize_ellipse(tpts,
-                                                         delays))})
-    return rows
+#: What Figure 9 calls each (setting, sender kind).
+_LABELS = {
+    ("tpt_naive_alone", "learner"): "Tpt. sender [naive]",
+    ("del_naive_alone", "learner"): "Del. sender [naive]",
+    ("tpt_coopt_alone", "learner"): "Tpt. sender [co-opt]",
+    ("del_coopt_alone", "learner"): "Del. sender [co-opt]",
+    ("naive_mixed", "learner"): "Tpt. sender [naive]",
+    ("naive_mixed", "peer"): "Del. sender [naive]",
+    ("coopt_mixed", "learner"): "Tpt. sender [co-opt]",
+    ("coopt_mixed", "peer"): "Del. sender [co-opt]",
+}
+
+
+def format_table(result: SweepResult) -> str:
+    """Figure 9 as text: one line per (setting, sender kind)."""
+    lines = ["Sender diversity (Table 7 / Figure 9)",
+             f"{'setting':<18} {'sender':<24} {'tpt (Mbps)':>11} "
+             f"{'qdelay (ms)':>12}"]
+    for row in result.rows:
+        setting, kind = row["scheme"], row["kind"]
+        lines.append(
+            f"{setting:<18} {_LABELS.get((setting, kind), kind):<24} "
+            f"{row['median_throughput_bps'] / 1e6:>11.2f} "
+            f"{row['median_delay_s'] * 1e3:>12.1f}")
+    return "\n".join(lines)
 
 
 SPEC = ExperimentSpec(
@@ -118,56 +105,10 @@ SPEC = ExperimentSpec(
     schemes=tuple(SETTINGS),
     axes=(),
     build=_build,
-    metrics=_metrics,
+    metrics=kind_ellipse_metrics,
     assets=("tao_delta_tpt_naive", "tao_delta_del_naive",
             "tao_delta_tpt_coopt", "tao_delta_del_coopt"),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> DiversityResult:
-    """Run every Figure 9 setting.
-
-    The (setting × seed) grid goes out as one batch through
-    ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    result = DiversityResult()
-    for row in sweep.rows:
-        result.points[(row["scheme"], row["kind"])] = \
-            ellipse_from_row(row)
-    return result
-
-
-def format_table(result: DiversityResult) -> str:
-    lines = ["Sender diversity (Table 7 / Figure 9)",
-             f"{'setting':<18} {'sender':<24} {'tpt (Mbps)':>11} "
-             f"{'qdelay (ms)':>12}"]
-    labels = {
-        ("tpt_naive_alone", "learner"): "Tpt. sender [naive]",
-        ("del_naive_alone", "learner"): "Del. sender [naive]",
-        ("tpt_coopt_alone", "learner"): "Tpt. sender [co-opt]",
-        ("del_coopt_alone", "learner"): "Del. sender [co-opt]",
-        ("naive_mixed", "learner"): "Tpt. sender [naive]",
-        ("naive_mixed", "peer"): "Del. sender [naive]",
-        ("coopt_mixed", "learner"): "Tpt. sender [co-opt]",
-        ("coopt_mixed", "peer"): "Del. sender [co-opt]",
-    }
-    for (setting, kind), point in result.points.items():
-        label = labels.get((setting, kind), kind)
-        lines.append(
-            f"{setting:<18} {label:<24} "
-            f"{point.median_throughput_bps / 1e6:>11.2f} "
-            f"{point.median_delay_s * 1e3:>12.1f}")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E8", name="diversity", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E8", SPEC))

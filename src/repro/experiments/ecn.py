@@ -18,18 +18,13 @@ omniscient dumbbell bound as the reference rows.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Sequence
+from typing import Mapping
 
-from ..core.objective import normalized_objective
-from ..core.omniscient import dumbbell_expected_throughput
-from ..core.results import RunResult
-from ..core.scenario import NetworkConfig
-from .api import (Axis, Cell, Experiment, ExperimentSpec, register,
-                  run_experiment)
+from .api import (Axis, Cell, Experiment, ExperimentSpec,
+                  dumbbell_reference, register, summary_metrics)
 from .calibration import CALIBRATION_CONFIG
-from .common import mean_normalized_score, scored_flows
 
-__all__ = ["ECN_THRESHOLDS", "SPEC", "run"]
+__all__ = ["ECN_THRESHOLDS", "SPEC"]
 
 #: Marking thresholds in packets.  The calibration BDP is 400 packets;
 #: the grid spans deep-mark (K well under the DCTCP guideline of
@@ -55,70 +50,19 @@ def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     return Cell(config, trees)
 
 
-def _metrics(scheme: str, point: Mapping[str, object],
-             config: NetworkConfig,
-             runs: Sequence[RunResult]) -> Dict[str, object]:
-    row: Dict[str, object] = {
-        "mean_objective": mean_normalized_score(runs, config)}
-    tpts: List[float] = []
-    delays: List[float] = []
-    for result in runs:
-        for flow in scored_flows(result):
-            if flow.packets_delivered == 0:
-                continue
-            tpts.append(flow.throughput_bps)
-            delays.append(flow.queueing_delay_s)
-    if tpts:
-        row["tpt_mbps"] = sum(tpts) / len(tpts) / 1e6
-        row["qdelay_ms"] = sum(delays) / len(delays) * 1e3
-    return row
-
-
-def _reference(point: Mapping[str, object]) -> Dict[str, object]:
-    config = CALIBRATION_CONFIG
-    speed_bps = config.link_speed_bps(0)
-    n = config.num_senders
-    expected = dumbbell_expected_throughput(speed_bps, n, config.p_on)
-    min_delay = config.rtt_ms / 2e3
-    return {
-        "mean_objective": normalized_objective(
-            expected, min_delay, speed_bps / n, min_delay),
-        "tpt_mbps": expected / 1e6,
-        "qdelay_ms": 0.0,
-    }
-
-
+#: No ``table``: the generic long-form table is this experiment's
+#: report.  ``backend="fluid"`` refuses the grid as a whole (PCC is
+#: packet-only, see :func:`repro.sim.fluid.fluid_refusal`); drop the
+#: scheme from a copy of the spec to fluid-run the rest.
 SPEC = ExperimentSpec(
     name="ecn",
     title="E10 — ECN thresholds: Tao vs DCTCP vs PCC vs Cubic",
     schemes=tuple(_SCHEMES),
     axes=(Axis.of("ecn_threshold", ECN_THRESHOLDS),),
     build=_build,
-    metrics=_metrics,
-    reference=_reference,
+    metrics=summary_metrics,
+    reference=lambda point: dumbbell_reference(CALIBRATION_CONFIG),
     assets=("tao_calibration",),
 )
 
-
-def run(scale=None, trees=None, base_seed: int = 1, executor=None,
-        backend: str = "packet"):
-    """Run the ECN sweep; returns the generic :class:`SweepResult`.
-
-    Note ``backend="fluid"`` refuses the grid as a whole: PCC is
-    packet-only (:func:`repro.sim.fluid.fluid_refusal` names it).  Drop
-    the scheme from a copy of :data:`SPEC` to fluid-run the rest.
-    """
-    from .common import DEFAULT
-    scale = scale or DEFAULT
-    return run_experiment(SPEC, scale=scale, trees=trees,
-                          base_seed=base_seed, executor=executor,
-                          backend=backend)
-
-
-def _render(scale, trees, executor) -> str:
-    return run(scale=scale, trees=trees,
-               executor=executor).format_table()
-
-
-register(Experiment(eid="E10", name="ecn", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E10", SPEC))

@@ -12,21 +12,16 @@ human-designed schemes across the whole sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..core.objective import normalized_objective
-from ..core.omniscient import dumbbell_expected_throughput
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
-from .api import (Axis, Cell, Experiment, ExperimentSpec,
-                  baseline_queue, objective_metrics, register,
-                  run_experiment)
-from .common import DEFAULT, Scale
+from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
+                  SweepResult, baseline_queue, objective_metrics,
+                  omniscient_objective, pivot_lines, register)
+from .common import Scale
 
-__all__ = ["TAO_RANGES", "SPEC", "SweepPoint", "LinkSpeedResult", "run",
-           "format_table", "sweep_speeds"]
+__all__ = ["TAO_RANGES", "SPEC", "mean_in_range", "format_table",
+           "sweep_speeds"]
 
 #: Design ranges of the four Taos (Table 2a), in Mbps.
 TAO_RANGES: Dict[str, Tuple[float, float]] = {
@@ -42,30 +37,6 @@ _RTT_MS = 150.0
 _SENDERS = 2
 
 
-@dataclass
-class SweepPoint:
-    """One (scheme, link speed) cell of Figure 2."""
-
-    scheme: str
-    speed_mbps: float
-    normalized_objective: float
-    in_training_range: bool
-
-
-@dataclass
-class LinkSpeedResult:
-    points: List[SweepPoint] = field(default_factory=list)
-
-    def series(self, scheme: str) -> List[SweepPoint]:
-        return sorted((p for p in self.points if p.scheme == scheme),
-                      key=lambda p: p.speed_mbps)
-
-    def mean_in_range(self, scheme: str) -> float:
-        values = [p.normalized_objective for p in self.points
-                  if p.scheme == scheme and p.in_training_range]
-        return sum(values) / len(values) if values else -math.inf
-
-
 def sweep_speeds(points: int) -> List[float]:
     """Log-spaced link speeds across 1-1000 Mbps (the testing range)."""
     if points < 2:
@@ -73,21 +44,11 @@ def sweep_speeds(points: int) -> List[float]:
     return [10 ** (3.0 * k / (points - 1)) for k in range(points)]
 
 
-def _config_for(speed: float, kinds: Tuple[str, ...],
-                queue: str) -> NetworkConfig:
+def _config_for(speed: float, kind: str, queue: str) -> NetworkConfig:
     return NetworkConfig(
-        link_speeds_mbps=(speed,), rtt_ms=_RTT_MS, sender_kinds=kinds,
-        deltas=tuple(1.0 for _ in kinds), mean_on_s=1.0, mean_off_s=1.0,
-        buffer_bdp=5.0, queue=queue)
-
-
-def _omniscient_point(speed: float) -> float:
-    config = _config_for(speed, ("learner",) * _SENDERS, "droptail")
-    expected = dumbbell_expected_throughput(
-        config.link_speed_bps(0), _SENDERS, config.p_on)
-    min_delay = config.rtt_ms / 2e3
-    return normalized_objective(expected, min_delay,
-                                config.fair_share_bps(), min_delay)
+        link_speeds_mbps=(speed,), rtt_ms=_RTT_MS,
+        sender_kinds=(kind,) * _SENDERS, deltas=(1.0,) * _SENDERS,
+        mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0, queue=queue)
 
 
 def _in_range(scheme: str, speed: object) -> bool:
@@ -106,16 +67,31 @@ def _axes(scale: Scale) -> Tuple[Axis, ...]:
 def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     speed = point["speed_mbps"]
     if scheme in TAO_RANGES:
-        return Cell(_config_for(speed, ("learner",) * _SENDERS,
-                                "droptail"),
+        return Cell(_config_for(speed, "learner", "droptail"),
                     {"learner": scheme})
-    return Cell(_config_for(speed, ("cubic",) * _SENDERS,
-                            baseline_queue(scheme)), None)
+    return Cell(_config_for(speed, "cubic", baseline_queue(scheme)),
+                None)
 
 
 def _reference(point: Mapping[str, object]) -> Dict[str, object]:
-    return {"normalized_objective":
-            _omniscient_point(point["speed_mbps"])}
+    return {"normalized_objective": omniscient_objective(
+        _config_for(point["speed_mbps"], "learner", "droptail"))}
+
+
+def mean_in_range(result: SweepResult, scheme: str) -> float:
+    """Mean objective of ``scheme`` over its in-training-range points."""
+    values = [row["normalized_objective"]
+              for row in result.select(scheme)
+              if row["in_training_range"]]
+    return sum(values) / len(values) if values else -math.inf
+
+
+def format_table(result: SweepResult) -> str:
+    """Figure 2 as text: normalized objective per scheme and speed."""
+    return "\n".join([
+        "Link-speed operating range (Table 2 / Figure 2)",
+        *pivot_lines(result.rows, "speed_mbps", "Mbps", ".1f", 14),
+        PIVOT_FOOTNOTE])
 
 
 SPEC = ExperimentSpec(
@@ -127,49 +103,7 @@ SPEC = ExperimentSpec(
     metrics=objective_metrics,
     reference=_reference,
     assets=tuple(TAO_RANGES),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> LinkSpeedResult:
-    """Sweep every scheme across the 1-1000 Mbps testing scenarios.
-
-    ``trees`` maps Tao names to rule tables, overriding shipped assets.
-    The whole (scheme × speed × seed) grid goes out as one batch
-    through ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    return LinkSpeedResult(points=[
-        SweepPoint(scheme=row["scheme"], speed_mbps=row["speed_mbps"],
-                   normalized_objective=row["normalized_objective"],
-                   in_training_range=row["in_training_range"])
-        for row in sweep.rows])
-
-
-def format_table(result: LinkSpeedResult) -> str:
-    """Figure 2 as text: normalized objective per scheme and speed."""
-    schemes = list(TAO_RANGES) + list(_BASELINES) + ["omniscient"]
-    speeds = sorted({p.speed_mbps for p in result.points})
-    header = f"{'Mbps':>8} " + " ".join(f"{s:>14}" for s in schemes)
-    lines = ["Link-speed operating range (Table 2 / Figure 2)", header]
-    table = {(p.scheme, p.speed_mbps): p for p in result.points}
-    for speed in speeds:
-        cells = []
-        for scheme in schemes:
-            point = table[(scheme, speed)]
-            marker = "" if point.in_training_range else "*"
-            cells.append(f"{point.normalized_objective:>13.2f}{marker or ' '}")
-        lines.append(f"{speed:>8.1f} " + " ".join(cells))
-    lines.append("(* = outside that Tao's training range)")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E2", name="link_speed", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E2", SPEC))

@@ -14,21 +14,16 @@ the no-drop buffer or loss storms on the finite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.objective import normalized_objective
-from ..core.omniscient import dumbbell_expected_throughput
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
-from .api import (Axis, Cell, Experiment, ExperimentSpec,
-                  baseline_queue, objective_metrics, register,
-                  run_experiment)
-from .common import DEFAULT, Scale
+from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
+                  SweepResult, baseline_queue, objective_metrics,
+                  omniscient_objective, pivot_lines, register)
+from .common import Scale
 
-__all__ = ["TAO_RANGES", "BUFFER_CASES", "SPEC", "MuxPoint",
-           "MultiplexingResult", "run", "format_table", "sweep_senders"]
+__all__ = ["TAO_RANGES", "BUFFER_CASES", "SPEC", "format_table",
+           "sweep_senders"]
 
 #: Design ranges (Table 3a): name -> max trained sender count.
 TAO_RANGES: Dict[str, int] = {
@@ -46,26 +41,6 @@ BUFFER_CASES: Tuple[Tuple[str, Optional[float]], ...] = (
 _BASELINES = ("cubic", "cubic_sfqcodel")
 _LINK_MBPS = 15.0
 _RTT_MS = 150.0
-
-
-@dataclass
-class MuxPoint:
-    scheme: str
-    n_senders: int
-    buffer_case: str
-    normalized_objective: float
-    in_training_range: bool
-
-
-@dataclass
-class MultiplexingResult:
-    points: List[MuxPoint] = field(default_factory=list)
-
-    def series(self, scheme: str, buffer_case: str) -> List[MuxPoint]:
-        return sorted((p for p in self.points
-                       if p.scheme == scheme
-                       and p.buffer_case == buffer_case),
-                      key=lambda p: p.n_senders)
 
 
 def sweep_senders(points: int) -> List[int]:
@@ -93,15 +68,6 @@ def _config_for(n: int, kinds_base: str, buffer_bdp: Optional[float],
         buffer_bdp=buffer_bdp, queue=queue)
 
 
-def _omniscient_point(n: int) -> float:
-    config = _config_for(n, "learner", None, "droptail")
-    expected = dumbbell_expected_throughput(
-        config.link_speed_bps(0), n, config.p_on)
-    min_delay = config.rtt_ms / 2e3
-    return normalized_objective(expected, min_delay,
-                                config.fair_share_bps(), min_delay)
-
-
 def _axes(scale: Scale) -> Tuple[Axis, ...]:
     return (Axis.of("buffer_case",
                     tuple(name for name, _ in BUFFER_CASES)),
@@ -119,8 +85,19 @@ def _build(scheme: str, point: Mapping[str, object]) -> Cell:
 
 
 def _reference(point: Mapping[str, object]) -> Dict[str, object]:
-    return {"normalized_objective":
-            _omniscient_point(point["n_senders"])}
+    return {"normalized_objective": omniscient_objective(
+        _config_for(point["n_senders"], "learner", None, "droptail"))}
+
+
+def format_table(result: SweepResult) -> str:
+    """Figure 3 as text: one scheme-by-sender-count block per buffer."""
+    lines = ["Degree of multiplexing (Table 3 / Figure 3)"]
+    for case_name, _ in BUFFER_CASES:
+        lines.append(f"--- buffer: {case_name} ---")
+        lines += pivot_lines(result.select(buffer_case=case_name),
+                             "n_senders", "senders", "d", 15)
+    lines.append(PIVOT_FOOTNOTE)
+    return "\n".join(lines)
 
 
 SPEC = ExperimentSpec(
@@ -132,54 +109,7 @@ SPEC = ExperimentSpec(
     metrics=objective_metrics,
     reference=_reference,
     assets=tuple(TAO_RANGES),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> MultiplexingResult:
-    """Sweep sender counts for every scheme and buffer case.
-
-    The (buffer case × scheme × sender count × seed) grid goes out as
-    one batch through ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    return MultiplexingResult(points=[
-        MuxPoint(scheme=row["scheme"], n_senders=row["n_senders"],
-                 buffer_case=row["buffer_case"],
-                 normalized_objective=row["normalized_objective"],
-                 in_training_range=row["in_training_range"])
-        for row in sweep.rows])
-
-
-def format_table(result: MultiplexingResult) -> str:
-    schemes = list(TAO_RANGES) + list(_BASELINES) + ["omniscient"]
-    lines = ["Degree of multiplexing (Table 3 / Figure 3)"]
-    for case_name, _ in BUFFER_CASES:
-        lines.append(f"--- buffer: {case_name} ---")
-        lines.append(f"{'senders':>8} "
-                     + " ".join(f"{s:>15}" for s in schemes))
-        counts = sorted({p.n_senders for p in result.points
-                         if p.buffer_case == case_name})
-        table = {(p.scheme, p.n_senders): p for p in result.points
-                 if p.buffer_case == case_name}
-        for n in counts:
-            cells = []
-            for scheme in schemes:
-                point = table[(scheme, n)]
-                marker = "" if point.in_training_range else "*"
-                cells.append(
-                    f"{point.normalized_objective:>14.2f}{marker or ' '}")
-            lines.append(f"{n:>8d} " + " ".join(cells))
-    lines.append("(* = outside that Tao's training range)")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E3", name="multiplexing", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E3", SPEC))

@@ -13,21 +13,15 @@ delay is not particularly valuable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..core.objective import normalized_objective
-from ..core.omniscient import dumbbell_expected_throughput
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
-from .api import (Axis, Cell, Experiment, ExperimentSpec,
-                  baseline_queue, objective_metrics, register,
-                  run_experiment)
-from .common import DEFAULT, Scale
+from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
+                  SweepResult, baseline_queue, objective_metrics,
+                  omniscient_objective, pivot_lines, register)
+from .common import Scale
 
-__all__ = ["TAO_RANGES", "SPEC", "RttPoint", "RttResult", "run",
-           "format_table", "sweep_rtts"]
+__all__ = ["TAO_RANGES", "SPEC", "format_table", "sweep_rtts"]
 
 #: Design ranges (Table 4a), in milliseconds.
 TAO_RANGES: Dict[str, Tuple[float, float]] = {
@@ -40,23 +34,6 @@ TAO_RANGES: Dict[str, Tuple[float, float]] = {
 _BASELINES = ("cubic", "cubic_sfqcodel")
 _LINK_MBPS = 33.0
 _SENDERS = 2
-
-
-@dataclass
-class RttPoint:
-    scheme: str
-    rtt_ms: float
-    normalized_objective: float
-    in_training_range: bool
-
-
-@dataclass
-class RttResult:
-    points: List[RttPoint] = field(default_factory=list)
-
-    def series(self, scheme: str) -> List[RttPoint]:
-        return sorted((p for p in self.points if p.scheme == scheme),
-                      key=lambda p: p.rtt_ms)
 
 
 def sweep_rtts(points: int) -> List[float]:
@@ -82,15 +59,6 @@ def _config_for(rtt_ms: float, kind: str, queue: str) -> NetworkConfig:
         mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0, queue=queue)
 
 
-def _omniscient_point(rtt_ms: float) -> float:
-    config = _config_for(rtt_ms, "learner", "droptail")
-    expected = dumbbell_expected_throughput(
-        config.link_speed_bps(0), _SENDERS, config.p_on)
-    min_delay = config.rtt_ms / 2e3
-    return normalized_objective(expected, min_delay,
-                                config.fair_share_bps(), min_delay)
-
-
 def _in_range(scheme: str, rtt_ms: object) -> bool:
     bounds = TAO_RANGES.get(scheme)
     return bounds is None or bounds[0] <= rtt_ms <= bounds[1]
@@ -110,7 +78,16 @@ def _build(scheme: str, point: Mapping[str, object]) -> Cell:
 
 
 def _reference(point: Mapping[str, object]) -> Dict[str, object]:
-    return {"normalized_objective": _omniscient_point(point["rtt_ms"])}
+    return {"normalized_objective": omniscient_objective(
+        _config_for(point["rtt_ms"], "learner", "droptail"))}
+
+
+def format_table(result: SweepResult) -> str:
+    """Figure 4 as text: normalized objective per scheme and RTT."""
+    return "\n".join([
+        "Propagation delay (Table 4 / Figure 4)",
+        *pivot_lines(result.rows, "rtt_ms", "RTT ms", ".1f", 16),
+        PIVOT_FOOTNOTE])
 
 
 SPEC = ExperimentSpec(
@@ -122,48 +99,7 @@ SPEC = ExperimentSpec(
     metrics=objective_metrics,
     reference=_reference,
     assets=tuple(TAO_RANGES),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> RttResult:
-    """Sweep every scheme across the 1-300 ms testing scenarios.
-
-    The (scheme × RTT × seed) grid goes out as one batch through
-    ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    return RttResult(points=[
-        RttPoint(scheme=row["scheme"], rtt_ms=row["rtt_ms"],
-                 normalized_objective=row["normalized_objective"],
-                 in_training_range=row["in_training_range"])
-        for row in sweep.rows])
-
-
-def format_table(result: RttResult) -> str:
-    schemes = list(TAO_RANGES) + list(_BASELINES) + ["omniscient"]
-    lines = ["Propagation delay (Table 4 / Figure 4)",
-             f"{'RTT ms':>8} " + " ".join(f"{s:>16}" for s in schemes)]
-    rtts = sorted({p.rtt_ms for p in result.points})
-    table = {(p.scheme, p.rtt_ms): p for p in result.points}
-    for rtt_ms in rtts:
-        cells = []
-        for scheme in schemes:
-            point = table[(scheme, rtt_ms)]
-            marker = "" if point.in_training_range else "*"
-            cells.append(
-                f"{point.normalized_objective:>15.2f}{marker or ' '}")
-        lines.append(f"{rtt_ms:>8.1f} " + " ".join(cells))
-    lines.append("(* = outside that Tao's training range)")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E4", name="rtt", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E4", SPEC))

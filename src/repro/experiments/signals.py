@@ -14,21 +14,18 @@ evaluates them all on the calibration scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..core.objective import Objective
 from ..core.results import RunResult
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
 from ..remy.memory import SIGNAL_NAMES
-from ..remy.tree import WhiskerTree
-from .api import (Cell, Experiment, ExperimentSpec, register,
-                  run_experiment)
+from .api import (Cell, Experiment, ExperimentSpec, SweepResult,
+                  register)
 from .calibration import CALIBRATION_CONFIG
-from .common import DEFAULT, Scale, scored_flows
+from .common import scored_flows
 
-__all__ = ["SPEC", "SignalKnockoutResult", "run", "format_table"]
+__all__ = ["SPEC", "drop", "ranking", "format_table"]
 
 #: Variant -> the trained asset it evaluates.
 _VARIANT_ASSETS: Dict[str, str] = {
@@ -36,39 +33,6 @@ _VARIANT_ASSETS: Dict[str, str] = {
     **{f"knockout_{signal}": f"tao_knockout_{signal}"
        for signal in SIGNAL_NAMES},
 }
-
-
-@dataclass
-class SignalKnockoutResult:
-    """Objective per variant; drops are vs. the full four-signal Tao."""
-
-    objective_by_variant: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def full_objective(self) -> float:
-        return self.objective_by_variant["all_signals"]
-
-    def drop(self, signal: str) -> float:
-        """Objective lost by removing ``signal`` (log2 units)."""
-        return (self.full_objective
-                - self.objective_by_variant[f"knockout_{signal}"])
-
-    def ranking(self) -> List[str]:
-        """Signals ordered from most to least valuable."""
-        return sorted(SIGNAL_NAMES, key=self.drop, reverse=True)
-
-
-def _score_runs(runs) -> float:
-    objective = Objective(delta=1.0)
-    scores = []
-    for run_result in runs:
-        total = 0.0
-        for flow in scored_flows(run_result):
-            delay = flow.mean_delay_s if flow.packets_delivered \
-                else flow.base_delay_s
-            total += objective.score(flow.throughput_bps, delay)
-        scores.append(total)
-    return sum(scores) / len(scores)
 
 
 def _build(variant: str, point: Mapping[str, object]) -> Cell:
@@ -79,7 +43,49 @@ def _build(variant: str, point: Mapping[str, object]) -> Cell:
 def _metrics(variant: str, point: Mapping[str, object],
              config: NetworkConfig,
              runs: Sequence[RunResult]) -> Dict[str, object]:
-    return {"objective": _score_runs(runs)}
+    """Summed (not normalized) objective of the scored flows, mean
+    over seeds."""
+    objective = Objective(delta=1.0)
+    scores = []
+    for run_result in runs:
+        total = 0.0
+        for flow in scored_flows(run_result):
+            delay = flow.mean_delay_s if flow.packets_delivered \
+                else flow.base_delay_s
+            total += objective.score(flow.throughput_bps, delay)
+        scores.append(total)
+    return {"objective": sum(scores) / len(scores)}
+
+
+def drop(result: SweepResult, signal: str) -> float:
+    """Objective lost by removing ``signal`` (log2 units), vs. the
+    full four-signal Tao."""
+    return (result.one("all_signals")["objective"]
+            - result.one(f"knockout_{signal}")["objective"])
+
+
+def ranking(result: SweepResult) -> List[str]:
+    """Signals ordered from most to least valuable."""
+    return sorted(SIGNAL_NAMES, key=lambda signal: drop(result, signal),
+                  reverse=True)
+
+
+def format_table(result: SweepResult) -> str:
+    """Section 3.4 as text: objective and drop per knockout."""
+    lines = ["Value of congestion signals (section 3.4)",
+             f"{'variant':<28} {'objective':>10} {'drop':>8}"]
+    lines.append(f"{'all_signals':<28} "
+                 f"{result.one('all_signals')['objective']:>10.2f} "
+                 f"{'-':>8}")
+    for signal in SIGNAL_NAMES:
+        variant = f"knockout_{signal}"
+        lines.append(
+            f"{variant:<28} "
+            f"{result.one(variant)['objective']:>10.2f} "
+            f"{drop(result, signal):>8.2f}")
+    lines.append(f"most-to-least valuable: {', '.join(ranking(result))}")
+    lines.append("(paper: rec_ewma most valuable; all four contribute)")
+    return "\n".join(lines)
 
 
 SPEC = ExperimentSpec(
@@ -90,46 +96,7 @@ SPEC = ExperimentSpec(
     build=_build,
     metrics=_metrics,
     assets=tuple(_VARIANT_ASSETS.values()),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> SignalKnockoutResult:
-    """Evaluate the full Tao and each knockout on the calibration net.
-
-    All five (variant × seed) grids go out as one batch through
-    ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    result = SignalKnockoutResult()
-    for row in sweep.rows:
-        result.objective_by_variant[row["scheme"]] = row["objective"]
-    return result
-
-
-def format_table(result: SignalKnockoutResult) -> str:
-    lines = ["Value of congestion signals (section 3.4)",
-             f"{'variant':<28} {'objective':>10} {'drop':>8}"]
-    lines.append(f"{'all_signals':<28} "
-                 f"{result.full_objective:>10.2f} {'-':>8}")
-    for signal in SIGNAL_NAMES:
-        variant = f"knockout_{signal}"
-        lines.append(
-            f"{variant:<28} "
-            f"{result.objective_by_variant[variant]:>10.2f} "
-            f"{result.drop(signal):>8.2f}")
-    ranking = ", ".join(result.ranking())
-    lines.append(f"most-to-least valuable: {ranking}")
-    lines.append("(paper: rec_ewma most valuable; all four contribute)")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E9", name="signals", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E9", SPEC))

@@ -17,22 +17,19 @@ Cubic by ~7x — topology simplification is cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..core.omniscient import omniscient_parking_lot
 from ..core.results import RunResult
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
-from ..remy.tree import WhiskerTree
 from ..topology.parking_lot import FLOW_BOTH
-from .api import (Axis, Cell, Experiment, ExperimentSpec,
-                  baseline_queue, register, run_experiment)
-from .common import DEFAULT, Scale
+from .api import (Axis, Cell, Experiment, ExperimentSpec, SweepResult,
+                  baseline_queue, register)
+from .common import Scale
 
-__all__ = ["SPEC", "StructurePoint", "StructureResult", "run",
+__all__ = ["SPEC", "mean_throughput", "simplification_penalty",
            "format_table", "sweep_speed_pairs"]
 
 _SCHEMES = ("tao_one_bottleneck", "tao_two_bottleneck", "cubic",
@@ -43,38 +40,8 @@ _TREE_ASSETS = {"tao_one_bottleneck": "tao_structure_one",
                 "tao_two_bottleneck": "tao_structure_two"}
 
 
-@dataclass
-class StructurePoint:
-    """Flow 1 (crossing flow) throughput at one link-speed pair."""
-
-    scheme: str
-    slower_mbps: float
-    faster_mbps: float
-    flow1_throughput_bps: float
-
-
-@dataclass
-class StructureResult:
-    points: List[StructurePoint] = field(default_factory=list)
-    omniscient: List[StructurePoint] = field(default_factory=list)
-
-    def mean_throughput(self, scheme: str) -> float:
-        values = [p.flow1_throughput_bps for p in self.points
-                  if p.scheme == scheme]
-        return float(np.mean(values)) if values else 0.0
-
-    def simplification_penalty(self) -> float:
-        """Fractional throughput lost by the one-bottleneck model
-        (the paper reports ~17%)."""
-        full = self.mean_throughput("tao_two_bottleneck")
-        simplified = self.mean_throughput("tao_one_bottleneck")
-        if full <= 0:
-            return 0.0
-        return 1.0 - simplified / full
-
-
 def sweep_speed_pairs(points: int) -> List[Tuple[float, float]]:
-    """(link1, link2) pairs covering Figure 6's sweep.
+    """(slower, faster) link-speed pairs covering Figure 6's sweep.
 
     For each slower-link speed we test the two boundary cases the
     figure draws: faster link equal to the slower one, and faster link
@@ -116,6 +83,7 @@ def _build(scheme: str, point: Mapping[str, object]) -> Cell:
 def _metrics(scheme: str, point: Mapping[str, object],
              config: NetworkConfig,
              runs: Sequence[RunResult]) -> Dict[str, object]:
+    """Flow 1 (the crossing flow) throughput, median over seeds."""
     flow1 = [r.flows[FLOW_BOTH].throughput_bps for r in runs]
     return {"flow1_throughput_bps": float(np.median(flow1))}
 
@@ -127,6 +95,45 @@ def _reference(point: Mapping[str, object]) -> Dict[str, object]:
     return {"flow1_throughput_bps": omni[FLOW_BOTH].throughput_bps}
 
 
+def mean_throughput(result: SweepResult, scheme: str) -> float:
+    """Crossing-flow throughput of ``scheme``, mean over the sweep."""
+    values = [row["flow1_throughput_bps"]
+              for row in result.select(scheme)]
+    return float(np.mean(values)) if values else 0.0
+
+
+def simplification_penalty(result: SweepResult) -> float:
+    """Fractional throughput lost by the one-bottleneck model (the
+    paper reports ~17%)."""
+    full = mean_throughput(result, "tao_two_bottleneck")
+    simplified = mean_throughput(result, "tao_one_bottleneck")
+    if full <= 0:
+        return 0.0
+    return 1.0 - simplified / full
+
+
+def format_table(result: SweepResult) -> str:
+    """Figure 6 as text: crossing-flow throughput per speed pair."""
+    columns = (*((scheme, 20) for scheme in _SCHEMES),
+               ("omniscient", 12))
+    lines = ["Structural knowledge (Table 5 / Figure 6): "
+             "crossing-flow throughput (Mbps)",
+             f"{'slower':>7} {'faster':>7} "
+             + " ".join(f"{scheme:>{width}}"
+                        for scheme, width in columns)]
+    for speeds in sorted({row["speeds"] for row in result.rows}):
+        cells = []
+        for scheme, width in columns:
+            row = result.one(scheme, speeds=speeds)
+            cells.append(
+                f"{row['flow1_throughput_bps'] / 1e6:>{width}.2f}")
+        lines.append(f"{speeds[0]:>7.1f} {speeds[1]:>7.1f} "
+                     + " ".join(cells))
+    lines.append("one-bottleneck simplification penalty: "
+                 f"{simplification_penalty(result):.0%} (paper: ~17%)")
+    return "\n".join(lines)
+
+
 SPEC = ExperimentSpec(
     name="structure",
     title="E5 Figure 6 / Table 5 — structural knowledge",
@@ -136,63 +143,7 @@ SPEC = ExperimentSpec(
     metrics=_metrics,
     reference=_reference,
     assets=tuple(_TREE_ASSETS.values()),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> StructureResult:
-    """Sweep both parking-lot links for every scheme.
-
-    The (scheme × speed pair × seed) grid goes out as one batch
-    through ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    result = StructureResult()
-    for row in sweep.rows:
-        speeds = row["speeds"]
-        point = StructurePoint(
-            scheme=row["scheme"], slower_mbps=min(speeds),
-            faster_mbps=max(speeds),
-            flow1_throughput_bps=row["flow1_throughput_bps"])
-        if row["scheme"] == SPEC.reference_scheme:
-            result.omniscient.append(point)
-        else:
-            result.points.append(point)
-    return result
-
-
-def format_table(result: StructureResult) -> str:
-    lines = ["Structural knowledge (Table 5 / Figure 6): "
-             "crossing-flow throughput (Mbps)"]
-    header = (f"{'slower':>7} {'faster':>7} "
-              + " ".join(f"{s:>20}" for s in _SCHEMES)
-              + f" {'omniscient':>12}")
-    lines.append(header)
-    keys = sorted({(p.slower_mbps, p.faster_mbps)
-                   for p in result.points})
-    by_key = {}
-    for p in result.points:
-        by_key[(p.slower_mbps, p.faster_mbps, p.scheme)] = p
-    omni_by_key = {(p.slower_mbps, p.faster_mbps): p
-                   for p in result.omniscient}
-    for slower, faster in keys:
-        cells = [f"{by_key[(slower, faster, s)].flow1_throughput_bps / 1e6:>20.2f}"
-                 for s in _SCHEMES]
-        omni = omni_by_key[(slower, faster)].flow1_throughput_bps / 1e6
-        lines.append(f"{slower:>7.1f} {faster:>7.1f} "
-                     + " ".join(cells) + f" {omni:>12.2f}")
-    penalty = result.simplification_penalty()
-    lines.append(f"one-bottleneck simplification penalty: {penalty:.0%} "
-                 "(paper: ~17%)")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E5", name="structure", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
+register(Experiment("E5", SPEC))

@@ -18,22 +18,21 @@ t=5 s and off at t=10 s while the bottleneck queue is traced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.results import EllipsePoint, RunResult, summarize_ellipse
 from ..core.scenario import NetworkConfig
-from ..exec import Executor
+from ..exec import BackendRefusal
 from ..remy.assets import load_tree
 from ..remy.tree import WhiskerTree
-from .api import (Cell, Experiment, ExperimentSpec, ellipse_from_row,
-                  ellipse_row, register, run_experiment)
-from .common import DEFAULT, Scale, build_simulation
+from .api import (Cell, CustomRun, Experiment, ExperimentSpec,
+                  SweepResult, kind_ellipse_metrics, register)
+from .common import build_simulation
 
-__all__ = ["CELLS", "SPEC", "AwarenessCell", "AwarenessResult", "run",
-           "QueueTraceResult", "run_queue_trace", "format_table"]
+__all__ = ["CELLS", "SPEC", "format_table", "QueueTraceResult",
+           "run_queue_trace"]
 
 #: 250 kB buffer = 200 ms of queueing at 10 Mbps (Figure 7's caption).
 _BUFFER_BYTES = 250_000.0
@@ -57,49 +56,25 @@ def _test_config(kinds: Tuple[str, ...]) -> NetworkConfig:
         buffer_bdp=None, queue="droptail")
 
 
-@dataclass
-class AwarenessCell:
-    """Per-kind summaries for one testing cell."""
-
-    name: str
-    by_kind: Dict[str, EllipsePoint] = field(default_factory=dict)
-
-
-@dataclass
-class AwarenessResult:
-    cells: Dict[str, AwarenessCell] = field(default_factory=dict)
-
-    def tao_point(self, cell: str) -> EllipsePoint:
-        return self.cells[cell].by_kind["learner"]
-
-    def newreno_point(self, cell: str) -> EllipsePoint:
-        return self.cells[cell].by_kind["newreno"]
-
-
 def _build(cell_name: str, point: Mapping[str, object]) -> Cell:
     kinds, tree_name = CELLS[cell_name]
     trees = {"learner": tree_name} if tree_name else None
     return Cell(_test_config(kinds), trees)
 
 
-def _metrics(cell_name: str, point: Mapping[str, object],
-             config: NetworkConfig,
-             runs: Sequence[RunResult]) -> List[Dict[str, object]]:
-    kinds, _ = CELLS[cell_name]
-    rows: List[Dict[str, object]] = []
-    for kind in dict.fromkeys(kinds):
-        tpts = []
-        delays = []
-        for run_result in runs:
-            for flow in run_result.flows_of_kind(kind):
-                if flow.packets_delivered == 0:
-                    continue
-                tpts.append(flow.throughput_bps)
-                delays.append(flow.queueing_delay_s)
-        if tpts:
-            rows.append({"kind": kind,
-                         **ellipse_row(summarize_ellipse(tpts, delays))})
-    return rows
+def format_table(result: SweepResult) -> str:
+    """Figure 7 as text: one line per (testing cell, sender kind)."""
+    lines = ["TCP-awareness (Table 6 / Figure 7)",
+             f"{'cell':<22} {'kind':<10} {'tpt (Mbps)':>11} "
+             f"{'qdelay (ms)':>12}"]
+    for cell_name in CELLS:
+        for row in sorted(result.select(cell_name),
+                          key=lambda row: row["kind"]):
+            lines.append(
+                f"{cell_name:<22} {row['kind']:<10} "
+                f"{row['median_throughput_bps'] / 1e6:>11.2f} "
+                f"{row['median_delay_s'] * 1e3:>12.1f}")
+    return "\n".join(lines)
 
 
 SPEC = ExperimentSpec(
@@ -108,28 +83,12 @@ SPEC = ExperimentSpec(
     schemes=tuple(CELLS),
     axes=(),
     build=_build,
-    metrics=_metrics,
+    metrics=kind_ellipse_metrics,
     assets=("tao_tcp_naive", "tao_tcp_aware"),
+    table=format_table,
 )
 
-
-def run(scale: Scale = DEFAULT,
-        trees: Optional[Dict[str, WhiskerTree]] = None,
-        base_seed: int = 1,
-        executor: Optional[Executor] = None) -> AwarenessResult:
-    """Run every Table 6b cell.
-
-    The (cell × seed) grid goes out as one batch through ``executor``.
-    """
-    sweep = run_experiment(SPEC, scale=scale, trees=trees,
-                           base_seed=base_seed, executor=executor)
-    result = AwarenessResult()
-    for cell_name in CELLS:
-        cell = AwarenessCell(name=cell_name)
-        for row in sweep.select(scheme=cell_name):
-            cell.by_kind[row["kind"]] = ellipse_from_row(row)
-        result.cells[cell_name] = cell
-    return result
+register(Experiment("E6", SPEC))
 
 
 # ----------------------------------------------------------------------
@@ -178,28 +137,10 @@ def run_queue_trace(scheme: str = "tao_tcp_aware",
         tcp_interval=(tcp_on_at, tcp_off_at))
 
 
-def format_table(result: AwarenessResult) -> str:
-    lines = ["TCP-awareness (Table 6 / Figure 7)",
-             f"{'cell':<22} {'kind':<10} {'tpt (Mbps)':>11} "
-             f"{'qdelay (ms)':>12}"]
-    for cell_name, cell in result.cells.items():
-        for kind, point in sorted(cell.by_kind.items()):
-            lines.append(
-                f"{cell_name:<22} {kind:<10} "
-                f"{point.median_throughput_bps / 1e6:>11.2f} "
-                f"{point.median_delay_s * 1e3:>12.1f}")
-    return "\n".join(lines)
-
-
-def _render(scale, trees, executor) -> str:
-    return format_table(run(scale=scale, trees=trees, executor=executor))
-
-
-register(Experiment(eid="E6", name="tcp_awareness", title=SPEC.title,
-                    render=_render, spec=SPEC, assets=SPEC.assets))
-
-
-def _render_queue_trace(scale, trees, executor) -> str:
+def _queue_trace_report(scale, trees, executor, backend) -> str:
+    if backend != "packet":
+        # The trace samples a packet queue; the fluid model has none.
+        raise BackendRefusal("custom runner requires the packet backend")
     lines = ["Figure 8 — queue traces (TCP on during [5 s, 10 s)):"]
     for scheme in ("tao_tcp_aware", "tao_tcp_naive"):
         trace = run_queue_trace(scheme, tree=(trees or {}).get(scheme),
@@ -211,7 +152,7 @@ def _render_queue_trace(scale, trees, executor) -> str:
     return "\n".join(lines)
 
 
-register(Experiment(eid="E7", name="queue_trace",
-                    title="E7 Figure 8 — queue traces",
-                    render=_render_queue_trace,
-                    assets=("tao_tcp_aware", "tao_tcp_naive")))
+register(Experiment("E7", custom=CustomRun(
+    name="queue_trace", title="E7 Figure 8 — queue traces",
+    assets=("tao_tcp_aware", "tao_tcp_naive"),
+    run=_queue_trace_report)))

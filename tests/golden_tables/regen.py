@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Regenerate the committed parity tables.
 
-Each file is one experiment module's ``format_table`` output at
-``PARITY_SCALE`` with the stand-in rule table (the same fake tree
-``run_experiments.py --fake-taos`` uses).  ``tests/test_table_parity.py``
-asserts the current code reproduces these files byte-for-byte, so any
-refactor of the experiment layer that shifts a table — cell grid, seed
+Each file is one registered experiment's paper table — its spec's
+``table`` of one :func:`run_experiment` pass, exactly what
+``scripts/run_experiments.py --fake-taos`` prints — at ``PARITY_SCALE``
+with the stand-in rule table.  ``tests/test_table_parity.py`` asserts
+the current code reproduces these files byte-for-byte, so any refactor
+of the experiment layer that shifts a table — cell grid, seed
 assignment, scoring, or formatting — fails loudly.
 
 Regenerate (only after convincing yourself a diff is intentional)::
@@ -19,51 +20,30 @@ import pathlib
 import sys
 
 from repro.core.scale import Scale
-from repro.experiments import (calibration, diversity, link_speed,
-                               multiplexing, rtt, signals, structure,
-                               tcp_awareness)
-from repro.experiments.api import FAKE_TREE
-from repro.remy.memory import SIGNAL_NAMES
+from repro.experiments.api import (FAKE_TREE, experiments,
+                                   run_experiment)
 
 #: Small enough for the tier-1 suite, big enough to exercise multiple
 #: seeds and sweep points.
 PARITY_SCALE = Scale(duration_s=3.0, packet_budget=6_000,
                      min_duration_s=2.0, n_seeds=2, sweep_points=3)
 
-_ASSETS = {
-    "link_speed": tuple(link_speed.TAO_RANGES),
-    "multiplexing": tuple(multiplexing.TAO_RANGES),
-    "rtt": tuple(rtt.TAO_RANGES),
-    "structure": ("tao_structure_one", "tao_structure_two"),
-    "tcp_awareness": ("tao_tcp_naive", "tao_tcp_aware"),
-    "diversity": ("tao_delta_tpt_naive", "tao_delta_del_naive",
-                  "tao_delta_tpt_coopt", "tao_delta_del_coopt"),
-    "signals": ("tao_calibration",) + tuple(
-        f"tao_knockout_{signal}" for signal in SIGNAL_NAMES),
-}
-
-#: Every table the parity suite pins (regenerated into <name>.txt).
-TABLE_NAMES = ("calibration",) + tuple(_ASSETS)
+#: Every table the parity suite pins (regenerated into <name>.txt):
+#: the registered specs that set a ``table``.
+TABLE_NAMES = tuple(entry.name for entry in experiments()
+                    if entry.spec is not None
+                    and entry.spec.table is not None)
 
 
-def _fakes(name):
-    return {asset: FAKE_TREE for asset in _ASSETS[name]}
-
-
-def tables() -> dict:
-    """name -> format_table text at PARITY_SCALE with fake trees."""
+def tables(executor=None) -> dict:
+    """name -> table text at PARITY_SCALE with fake trees."""
     out = {}
-    out["calibration"] = calibration.format_table(
-        calibration.run(scale=PARITY_SCALE, tree=FAKE_TREE))
-    for name, module in (("link_speed", link_speed),
-                         ("multiplexing", multiplexing),
-                         ("rtt", rtt),
-                         ("structure", structure),
-                         ("tcp_awareness", tcp_awareness),
-                         ("diversity", diversity),
-                         ("signals", signals)):
-        out[name] = module.format_table(
-            module.run(scale=PARITY_SCALE, trees=_fakes(name)))
+    for entry in experiments():
+        if entry.name in TABLE_NAMES:
+            result = run_experiment(
+                entry.spec, scale=PARITY_SCALE, executor=executor,
+                trees={asset: FAKE_TREE for asset in entry.assets})
+            out[entry.name] = entry.spec.render(result)
     return out
 
 

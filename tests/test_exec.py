@@ -160,8 +160,7 @@ class TestExecutorEquivalence:
 
     def test_run_seeds_jobs_matches_serial(self):
         from repro.core.scale import Scale as _Scale
-        from repro.experiments.common import (run_seeds,
-                                              run_seeds_parallel)
+        from repro.experiments.common import run_seeds
         scale = _Scale(duration_s=2.0, packet_budget=3_000,
                        min_duration_s=2.0, n_seeds=2)
         serial = run_seeds(CONFIG, trees={"learner": TREE}, scale=scale)
@@ -169,12 +168,6 @@ class TestExecutorEquivalence:
                            scale=scale, jobs=2)
         assert [[f.delivered_bytes for f in r.flows] for r in serial] \
             == [[f.delivered_bytes for f in r.flows] for r in pooled]
-        # the legacy twin survives as a deprecated alias
-        with pytest.deprecated_call():
-            legacy = run_seeds_parallel(CONFIG, trees={"learner": TREE},
-                                        scale=scale, jobs=2)
-        assert [[f.delivered_bytes for f in r.flows] for r in legacy] \
-            == [[f.delivered_bytes for f in r.flows] for r in serial]
 
 
 def _ideal_makespan(costs, n_chunks):

@@ -18,13 +18,12 @@ import pytest
 from repro.core.scenario import NetworkConfig
 from repro.exec import (ProcessPoolExecutor, ResultStore, RetryPolicy,
                         SerialExecutor, SimTask, StoreExecutor,
-                        SupervisedExecutor, TaskFailedError, cache_key,
-                        executor_for)
+                        SupervisedExecutor, TaskFailedError,
+                        add_execution_arguments, cache_key,
+                        executor_for, executor_from_args)
 from repro.exec import faults
 from repro.exec.faults import (FAULTS_ENV, FaultInjected, FaultInjector,
                                FaultPlan, _uniform, injector_from_env)
-from repro.exec.supervise import (add_fault_tolerance_arguments,
-                                  policy_from_args)
 from repro.remy.action import Action
 from repro.remy.tree import WhiskerTree
 
@@ -508,15 +507,16 @@ class TestScriptsUnderChaos:
 class TestCLI:
     def test_policy_from_args_round_trip(self):
         parser = argparse.ArgumentParser()
-        add_fault_tolerance_arguments(parser)
-        policy = policy_from_args(parser.parse_args([]))
-        assert policy == RetryPolicy()
-        policy = policy_from_args(parser.parse_args(
-            ["--max-retries", "5", "--task-timeout", "30",
-             "--on-failure", "quarantine"]))
-        assert policy.max_retries == 5
-        assert policy.task_timeout_s == 30.0
-        assert policy.on_failure == "quarantine"
+        add_execution_arguments(parser, default_jobs=2)
+        with executor_from_args(parser.parse_args([])) as executor:
+            assert isinstance(executor, SupervisedExecutor)
+            assert executor.policy == RetryPolicy()
+        with executor_from_args(parser.parse_args(
+                ["--max-retries", "5", "--task-timeout", "30",
+                 "--on-failure", "quarantine"])) as executor:
+            assert executor.policy.max_retries == 5
+            assert executor.policy.task_timeout_s == 30.0
+            assert executor.policy.on_failure == "quarantine"
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from repro.exec import (RemoteExecutor, ResultStore, RetryPolicy,
                         serve_worker)
 from repro.exec.faults import FAULTS_ENV, FaultInjector, FaultPlan
 from repro.exec.remote import (FrameError, _parse_frames, recv_frame,
-                               send_frame, workers_from_args)
+                               send_frame)
 from repro.remy.action import Action
 from repro.remy.tree import WhiskerTree
 
@@ -94,15 +94,25 @@ class TestParseWorkers:
         with pytest.raises(ValueError, match="HOST:PORT"):
             parse_workers(bad)
 
-    def test_cli_round_trip(self):
+    def test_cli_round_trip(self, capsys):
         import argparse
 
-        from repro.exec import add_workers_argument
+        from repro.exec import add_execution_arguments, executor_from_args
         parser = argparse.ArgumentParser()
-        add_workers_argument(parser)
-        args = parser.parse_args(["--workers", "h:1,h:2"])
-        assert workers_from_args(args) == [("h", 1), ("h", 2)]
-        assert workers_from_args(parser.parse_args([])) is None
+        add_execution_arguments(parser)
+        args = parser.parse_args(["--workers", "h:1,h:2", "--jobs", "3"])
+        with executor_from_args(args) as executor:
+            assert isinstance(executor, RemoteExecutor)
+            assert executor.addrs == [("h", 1), ("h", 2)]
+            assert executor.fallback_jobs == 3
+        with executor_from_args(parser.parse_args([])) as executor:
+            assert isinstance(executor, SerialExecutor)
+        # A malformed list is one stderr line and exit status 2.
+        with pytest.raises(SystemExit) as exit_info:
+            executor_from_args(parser.parse_args(["--workers", "h"]))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--workers: ") and "HOST:PORT" in err
 
 
 class TestFrames:

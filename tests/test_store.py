@@ -687,20 +687,17 @@ class TestSweepResume:
 
         # Count what the inner executor actually simulates per run.
         executors = []
-        real_executor_for = run_experiments.executor_for
+        real_executor_from_args = run_experiments.executor_from_args
 
-        def counting_executor_for(jobs, store=None, resume=False,
-                                  policy=None, workers=None):
-            executor = real_executor_for(jobs, store=store,
-                                         resume=resume, policy=policy,
-                                         workers=workers)
+        def counting_executor_from_args(args):
+            executor = real_executor_from_args(args)
             if isinstance(executor, StoreExecutor):
                 executor.inner = CountingExecutor()
                 executors.append(executor)
             return executor
 
-        monkeypatch.setattr(run_experiments, "executor_for",
-                            counting_executor_for)
+        monkeypatch.setattr(run_experiments, "executor_from_args",
+                            counting_executor_from_args)
         args = ["--scale", "quick", "--only", "calibration",
                 "--fake-taos"]
         store = tmp_path / "store"
@@ -738,11 +735,14 @@ class TestSweepResume:
     def test_resume_against_missing_store_fails_fast(self, tmp_path,
                                                      capsys):
         run_experiments = _load_script("run_experiments.py")
-        code = run_experiments.main(
-            ["--scale", "quick", "--only", "calibration", "--fake-taos",
-             "--store", str(tmp_path / "typo"), "--resume"])
-        assert code == 2
-        assert "no result store" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            run_experiments.main(
+                ["--scale", "quick", "--only", "calibration",
+                 "--fake-taos", "--store", str(tmp_path / "typo"),
+                 "--resume"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--store: ") and "no result store" in err
 
 
 FAILURE = TaskFailure(kind="worker-death", message="poison",

@@ -206,6 +206,11 @@ class TestSweepResult:
         assert [r["m"] for r in result.select(scheme="tao")] == [1.25]
         assert [r["scheme"] for r in result.select(x=1)] == \
             ["cubic", "tao"]
+        assert result.one("tao", x=1)["m"] == 1.25
+        with pytest.raises(KeyError, match="2 rows"):
+            result.one(x=1)
+        with pytest.raises(KeyError, match="0 rows"):
+            result.one("vegas")
 
     def test_format_table_marks_out_of_range(self):
         text = self._result().format_table()
@@ -249,6 +254,36 @@ class TestRegistry:
                 if plan.cell.trees:
                     referenced.update(plan.cell.trees.values())
             assert referenced <= set(entry.assets)
+
+    def test_entries_read_name_title_assets_off_what_they_wrap(self):
+        for entry in experiments():
+            declared = entry.spec or entry.custom
+            assert (entry.name, entry.title, entry.assets) == \
+                (declared.name, declared.title, declared.assets)
+            assert entry.title.startswith(entry.eid)
+        # Not copies: a replaced spec shows through its entry.
+        from dataclasses import replace
+
+        from repro.experiments.api import Experiment
+        spec = replace(get_experiment("ecn").spec, name="ecn2",
+                       assets=("x",))
+        assert Experiment("E11", spec).name == "ecn2"
+        assert Experiment("E11", spec).assets == ("x",)
+        with pytest.raises(ValueError):
+            Experiment("E11")               # neither spec nor custom
+
+    def test_render_uses_the_table_hook_or_the_generic_table(self):
+        result = SweepResult(name="s", axis_names=("x",), rows=[
+            {"scheme": "a", "x": 1, "m": 2.0,
+             "in_training_range": True}])
+        spec = get_experiment("ecn").spec
+        assert spec.table is None
+        assert spec.render(result) == result.format_table()
+        from dataclasses import replace
+        custom = replace(spec, table=lambda r: f"{len(r.rows)} row")
+        assert custom.render(result) == "1 row"
+        assert all(e.spec.table is not None for e in experiments()
+                   if e.spec is not None and e.name != "ecn")
 
 
 class TestAdhoc:
@@ -320,16 +355,3 @@ class TestAdhoc:
                           schemes=("tao_nonexistent",))
         with pytest.raises(FileNotFoundError):
             run_experiment(spec, scale=MICRO)
-
-
-class TestSeedFanoutFold:
-    def test_run_seeds_parallel_is_deprecated_alias(self):
-        from repro.core.scenario import NetworkConfig
-        from repro.experiments.common import run_seeds_parallel
-        config = NetworkConfig(link_speeds_mbps=(8.0,), rtt_ms=100.0,
-                               sender_kinds=("cubic", "cubic"))
-        serial = run_seeds(config, scale=MICRO)
-        with pytest.deprecated_call():
-            legacy = run_seeds_parallel(config, scale=MICRO, jobs=1)
-        assert [r.flows[0].delivered_bytes for r in serial] == \
-            [r.flows[0].delivered_bytes for r in legacy]
