@@ -27,7 +27,10 @@ and exposes two knobs the transport reads before each transmission:
 
 from __future__ import annotations
 
-__all__ = ["AckContext", "CongestionController", "MAX_WINDOW_PACKETS"]
+import numpy as np
+
+__all__ = ["AckContext", "CongestionController", "MAX_WINDOW_PACKETS",
+           "FluidStep", "FluidKernel"]
 
 #: Safety cap on any scheme's congestion window.
 MAX_WINDOW_PACKETS = 1_000_000.0
@@ -104,3 +107,49 @@ class CongestionController:
             self.window = minimum
         elif self.window > MAX_WINDOW_PACKETS:
             self.window = MAX_WINDOW_PACKETS
+
+
+class FluidStep:
+    """One :mod:`repro.sim.fluid` step as a kernel sees it: the
+    :class:`AckContext` of ``(seeds, flows)`` arrays.  Kernels rebind,
+    or assign into, ``w`` and ``pace_tau``; the rest is read-only."""
+
+    __slots__ = (
+        "t", "dt",         # step start and length, seconds
+        "w", "pace_tau",   # windows, packets; pacing gaps, s (0: unpaced)
+        "acks",            # packets ACKed this step (fractional)
+        "acked", "grow",   # started lanes with ACKs; those not in recovery
+        "rtt_sample",      # the RTT those ACKs measured
+        "sent_lag",        # the send rate when they were sent, packets/s
+        "marked",          # their CE-mark indicator; None with ECN off
+    )
+
+
+class FluidKernel:
+    """A scheme's fluid port: its controller's rules as array updates
+    over the scheme's ``lanes`` (a ``(flows,)`` mask, broadcast across
+    seeds).  Every hook must be elementwise and change its own lanes
+    only — ``np.where(mask & self.lanes, new, old)``; ``start`` and
+    ``loss`` get masks already cut to them — so kernels are independent
+    and a batched seed is bitwise the seed alone.  Loss detection is the
+    loop's, as it is the transport's: a loss opens a one-RTT recovery
+    (``grow`` false, no further ``loss``)."""
+
+    #: Window of a lane before its first ACK.
+    initial_window = 2.0
+    #: Private state, name -> initial value: ``(seeds, flows)`` arrays.
+    state: dict = {}
+
+    def __init__(self, lanes, shape) -> None:
+        self.lanes = lanes
+        for name, value in self.state.items():
+            setattr(self, name, np.full(shape, value))
+
+    def start(self, step: FluidStep, turning_on) -> None:
+        """An on-period begins (TCP state outlives it: no-op here)."""
+
+    def loss(self, step: FluidStep, lost) -> None:
+        """A loss signal reached the ``lost`` lanes."""
+
+    def ack(self, step: FluidStep) -> None:
+        """The ACK clock ticked: mark reaction and window growth."""

@@ -18,9 +18,11 @@ rules.
 
 from __future__ import annotations
 
-from .base import AckContext, CongestionController
+import numpy as np
 
-__all__ = ["CubicController", "CUBIC_C", "CUBIC_BETA"]
+from .base import AckContext, CongestionController, FluidKernel, FluidStep
+
+__all__ = ["CubicController", "CUBIC_C", "CUBIC_BETA", "CubicFluid"]
 
 #: Cubic scaling constant (RFC 8312 section 5).
 CUBIC_C = 0.4
@@ -164,3 +166,60 @@ class CubicController(CongestionController):
         self.ssthresh = max(self.window * self.beta, 2.0)
         self.window = 1.0
         self._in_recovery = False
+
+
+class CubicFluid(FluidKernel):
+    """Fluid port: the cubic-in-time target over the TCP-friendly
+    floor, fast convergence, and HyStart with rounds timed on the ACK
+    clock.  A ``nan`` epoch means none is open."""
+
+    state = dict(ssthresh=np.inf, epoch=np.nan, w_max=0.0, k=0.0, w_tcp=0.0,
+                 round_end=0.0, round_min=np.inf, prev_min=np.inf)
+
+    def loss(self, step: FluidStep, lost) -> None:
+        w = step.w
+        self.w_max = np.where(
+            lost, np.where(w < self.w_max, w * (1.0 + CUBIC_BETA) / 2.0, w),
+            self.w_max)
+        step.w = w = np.where(lost, np.maximum(w * CUBIC_BETA, 2.0), w)
+        self.ssthresh = np.where(lost, w, self.ssthresh)
+        self.epoch = np.where(lost, np.nan, self.epoch)
+
+    def ack(self, step: FluidStep) -> None:
+        grow = step.grow & self.lanes
+        if not grow.any():
+            return
+        t, w, acks, rtt = step.t, step.w, step.acks, step.rtt_sample
+        new_round = grow & (t >= self.round_end)
+        self.prev_min = np.where(new_round, self.round_min, self.prev_min)
+        round_min = np.where(new_round, np.inf, self.round_min)
+        self.round_end = np.where(new_round, t + rtt, self.round_end)
+        self.round_min = np.where(grow, np.minimum(round_min, rtt),
+                                  round_min)
+        ss = grow & (w < self.ssthresh)
+        eta = np.minimum(np.maximum(self.prev_min / 8.0, 0.004), 0.016)
+        hexit = ss & np.isfinite(self.prev_min) \
+            & (self.round_min >= self.prev_min + eta)
+        self.ssthresh = np.where(hexit, w, self.ssthresh)
+        ss &= ~hexit
+        w = np.where(ss, w + acks, w)
+        ca = grow & ~ss
+        init = ca & np.isnan(self.epoch)
+        if init.any():
+            self.epoch = np.where(init, t, self.epoch)
+            self.w_max = np.where(init, np.maximum(self.w_max, w),
+                                  self.w_max)
+            self.k = np.where(
+                init, np.cbrt(self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C),
+                self.k)
+            self.w_tcp = np.where(init, w, self.w_tcp)
+        target = CUBIC_C * (t - self.epoch - self.k) ** 3 + self.w_max
+        self.w_tcp = np.where(
+            ca, self.w_tcp + (3.0 * (1.0 - CUBIC_BETA)
+                              / (1.0 + CUBIC_BETA)) * acks / w,
+            self.w_tcp)
+        target = np.maximum(target, self.w_tcp)
+        delta = np.where(target > w,
+                         (target - w) * np.minimum(acks / w, 1.0),
+                         0.01 * acks / w)
+        step.w = np.where(ca, w + delta, w)

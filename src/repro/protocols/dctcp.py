@@ -22,9 +22,12 @@ the original deployment relies on.
 
 from __future__ import annotations
 
-from .base import AckContext, CongestionController
+import numpy as np
 
-__all__ = ["DCTCPController", "DCTCP_GAIN"]
+from .base import AckContext, CongestionController, FluidStep
+from .newreno import NewRenoFluid
+
+__all__ = ["DCTCPController", "DCTCP_GAIN", "DCTCPFluid"]
 
 #: EWMA gain for the marked fraction (the paper's g = 1/16).
 DCTCP_GAIN = 1.0 / 16.0
@@ -119,3 +122,39 @@ class DCTCPController(CongestionController):
         self.window = 1.0
         self.alpha = min(1.0, self.alpha + self.gain * (1.0 - self.alpha))
         self._in_recovery = False
+
+
+class DCTCPFluid(NewRenoFluid):
+    """Fluid port: Reno, plus the reaction to the link model's marks.
+    Marked and total ACKs are tallied over one RTT round; its end folds
+    the fraction into alpha and, if nonzero, cuts once by alpha / 2."""
+
+    state = dict(NewRenoFluid.state, alpha=0.0, round_end=-np.inf,
+                 n_acked=0.0, n_marked=0.0)
+
+    def ack(self, step: FluidStep) -> None:
+        if step.marked is not None:
+            t, acks = step.t, step.acks
+            acked = step.acked & self.lanes
+            self.n_acked = np.where(acked, self.n_acked + acks, self.n_acked)
+            self.n_marked = np.where(acked & step.marked,
+                                     self.n_marked + acks, self.n_marked)
+            due = acked & (t >= self.round_end)
+            if due.any():
+                self._end_round(step, due)
+        super().ack(step)
+
+    def _end_round(self, step: FluidStep, due) -> None:
+        frac = np.divide(self.n_marked, self.n_acked,
+                         where=self.n_acked > 0.0,
+                         out=np.zeros_like(self.n_marked))
+        self.alpha = np.where(
+            due, self.alpha + DCTCP_GAIN * (frac - self.alpha), self.alpha)
+        cut = due & (frac > 0.0)
+        step.w = w = np.where(
+            cut, np.maximum(step.w * (1.0 - self.alpha / 2.0), 2.0), step.w)
+        self.ssthresh = np.where(cut, np.maximum(w, 2.0), self.ssthresh)
+        self.n_acked = np.where(due, 0.0, self.n_acked)
+        self.n_marked = np.where(due, 0.0, self.n_marked)
+        self.round_end = np.where(due, step.t + step.rtt_sample,
+                                  self.round_end)

@@ -15,9 +15,11 @@ full classic state machine:
 
 from __future__ import annotations
 
-from .base import AckContext, CongestionController
+import numpy as np
 
-__all__ = ["NewRenoController"]
+from .base import AckContext, CongestionController, FluidKernel, FluidStep
+
+__all__ = ["NewRenoController", "NewRenoFluid"]
 
 
 class NewRenoController(CongestionController):
@@ -73,3 +75,23 @@ class NewRenoController(CongestionController):
         self.ssthresh = max(self.window / 2.0, 2.0)
         self.window = 1.0
         self._in_recovery = False
+
+
+class NewRenoFluid(FluidKernel):
+    """Fluid port of slow start / congestion avoidance with halving on
+    loss — also all of AIMD at its defaults, so both names list it.
+    The loop's loss recovery stands in for fast recovery."""
+
+    state = {"ssthresh": np.inf}
+
+    def loss(self, step: FluidStep, lost) -> None:
+        self.ssthresh = np.where(lost, np.maximum(step.w * 0.5, 2.0),
+                                 self.ssthresh)
+        step.w = np.where(lost, self.ssthresh, step.w)
+
+    def ack(self, step: FluidStep) -> None:
+        w, acks = step.w, step.acks
+        grow = step.grow & self.lanes
+        in_ss = grow & (w < self.ssthresh)
+        w = np.where(in_ss, w + acks, w)
+        step.w = np.where(grow & ~in_ss, w + acks / w, w)

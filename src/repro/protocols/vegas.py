@@ -22,9 +22,11 @@ exceeds gamma.
 
 from __future__ import annotations
 
-from .base import AckContext, CongestionController
+import numpy as np
 
-__all__ = ["VegasController"]
+from .base import AckContext, CongestionController, FluidKernel, FluidStep
+
+__all__ = ["VegasController", "VegasFluid"]
 
 
 class VegasController(CongestionController):
@@ -111,3 +113,48 @@ class VegasController(CongestionController):
         self.window = 2.0
         self._in_slow_start = True
         self._in_recovery = False
+
+
+class VegasFluid(FluidKernel):
+    """Fluid port of the per-RTT ``diff`` rule at the classic
+    alpha = gamma = 1, beta = 3; rounds are timed on the ACK clock."""
+
+    state = dict(base_rtt=np.inf, round_end=0.0, round_min=np.inf,
+                 in_ss=True, grow_round=True)
+
+    def loss(self, step: FluidStep, lost) -> None:
+        step.w = np.where(lost, np.maximum(step.w * 0.75, 2.0), step.w)
+        self.in_ss &= ~lost
+
+    def ack(self, step: FluidStep) -> None:
+        acked = step.acked & self.lanes
+        if not acked.any():
+            return
+        t, w, rtt = step.t, step.w, step.rtt_sample
+        self.base_rtt = np.where(acked, np.minimum(self.base_rtt, rtt),
+                                 self.base_rtt)
+        self.round_min = np.where(acked, np.minimum(self.round_min, rtt),
+                                  self.round_min)
+        due = step.grow & self.lanes & (t >= self.round_end)
+        if not due.any():
+            return
+        rtt_r = np.where(np.isfinite(self.round_min), self.round_min,
+                         self.base_rtt)
+        # Lanes never ACKed hold base = rtt = inf; they are not due, so
+        # leave their ratio at 1 rather than inf / inf.
+        ratio = np.divide(self.base_rtt, np.maximum(rtt_r, 1e-9),
+                          where=np.isfinite(self.base_rtt),
+                          out=np.ones_like(self.base_rtt))
+        diff = w * (1.0 - ratio)
+        ss = due & self.in_ss
+        exit_ss = ss & (diff > 1.0)
+        w = np.where(exit_ss, w - diff, w)
+        self.in_ss &= ~exit_ss
+        w = np.where(ss & ~exit_ss & self.grow_round, w * 2.0, w)
+        self.grow_round = np.where(ss, ~self.grow_round, self.grow_round)
+        ca = due & ~ss
+        w = np.where(ca & (diff < 1.0), w + 1.0, w)
+        w = np.where(ca & (diff > 3.0), w - 1.0, w)
+        step.w = np.where(due, np.maximum(w, 2.0), w)
+        self.round_end = np.where(due, t + rtt_r, self.round_end)
+        self.round_min = np.where(due, np.inf, self.round_min)

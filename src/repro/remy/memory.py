@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Tuple
 
 __all__ = ["SIGNAL_NAMES", "NUM_SIGNALS", "SIGNAL_UPPER_BOUNDS",
-           "SIGNAL_LOWER_BOUNDS", "SignalMask", "ALL_SIGNALS", "Memory"]
+           "SIGNAL_LOWER_BOUNDS", "SIGNAL_CAPS", "FAST_GAIN", "SLOW_GAIN",
+           "SignalMask", "ALL_SIGNALS", "Memory"]
 
 SIGNAL_NAMES: Tuple[str, ...] = (
     "rec_ewma", "slow_rec_ewma", "send_ewma", "rtt_ratio")
@@ -38,19 +39,19 @@ SignalMask = Tuple[bool, bool, bool, bool]
 
 ALL_SIGNALS: SignalMask = (True, True, True, True)
 
-_FAST_GAIN = 1.0 / 8.0
-_SLOW_GAIN = 1.0 / 256.0
+FAST_GAIN = 1.0 / 8.0
+SLOW_GAIN = 1.0 / 256.0
+
+#: What a signal at or over its bound clips to — the exact float `_clip`
+#: computes per call: strictly inside the domain so the half-open
+#: whisker boxes always contain the vector.
+SIGNAL_CAPS = tuple(high * (1.0 - 1e-9) for high in SIGNAL_UPPER_BOUNDS)
 
 #: Clip bounds unpacked to module-level scalars so the per-ACK hot path
-#: pays no tuple indexing.  The caps are the exact float `_clip` used to
-#: compute per call: strictly inside the domain so the half-open whisker
-#: boxes always contain the vector.
+#: pays no tuple indexing.
 _LO0, _LO1, _LO2, _LO3 = SIGNAL_LOWER_BOUNDS
 _HI0, _HI1, _HI2, _HI3 = SIGNAL_UPPER_BOUNDS
-_CAP0 = _HI0 * (1.0 - 1e-9)
-_CAP1 = _HI1 * (1.0 - 1e-9)
-_CAP2 = _HI2 * (1.0 - 1e-9)
-_CAP3 = _HI3 * (1.0 - 1e-9)
+_CAP0, _CAP1, _CAP2, _CAP3 = SIGNAL_CAPS
 
 
 class Memory:
@@ -84,8 +85,8 @@ class Memory:
         if self._last_ack_time >= 0.0:
             interarrival = now - self._last_ack_time
             if self._have_sample:
-                self.rec_ewma += _FAST_GAIN * (interarrival - self.rec_ewma)
-                self.slow_rec_ewma += _SLOW_GAIN * (
+                self.rec_ewma += FAST_GAIN * (interarrival - self.rec_ewma)
+                self.slow_rec_ewma += SLOW_GAIN * (
                     interarrival - self.slow_rec_ewma)
             else:
                 # Seed the averages with the first observation instead of
@@ -99,7 +100,7 @@ class Memory:
             intersend = echo_sent_at - self._last_echo
             if intersend >= 0.0:
                 if self.send_ewma > 0.0:
-                    self.send_ewma += _FAST_GAIN * (
+                    self.send_ewma += FAST_GAIN * (
                         intersend - self.send_ewma)
                 else:
                     self.send_ewma = intersend

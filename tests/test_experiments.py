@@ -208,3 +208,20 @@ class TestFluidBackendCli:
         assert captured.err.count("\n") == 1
         assert "'pcc' is packet-only" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_sweep_names_the_missing_tree_not_a_missing_port(
+            self, capsys, monkeypatch):
+        """A rule-table kind with no tree behind it is refused for that
+        reason.  ``--schemes`` reads any unregistered name as an asset,
+        so registering the name is the one way the CLI reaches it."""
+        from repro.protocols import registry
+        monkeypatch.setitem(registry._EXTRA, "learner", None)
+        sweep = _load_script("sweep.py")
+        assert sweep.main(["--axis", "rtt_ms=50,100", "--scale", "quick",
+                           "--backend", "fluid",
+                           "--schemes", "learner"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "'learner' requires a whisker tree" in captured.err
+        assert "packet-only" not in captured.err

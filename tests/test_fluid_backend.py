@@ -22,15 +22,18 @@ import warnings
 
 import pytest
 
-from test_golden_traces import SCENARIOS
+from test_golden_traces import SCENARIOS, result_digest
 
 from repro.core.scenario import NetworkConfig
-from repro.exec import SimTask, run_sim_task, run_task_group
+from repro.exec import BackendRefusal, SimTask, run_sim_task, run_task_group
+from repro.protocols import registry
+from repro.protocols.aimd import AimdController
 from repro.remy.action import Action
 from repro.remy.evaluator import TreeEvaluator
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
 from repro.remy.tree import WhiskerTree
-from repro.sim.fluid import simulate_fluid
+from repro.sim.dynamics import DynamicsSpec
+from repro.sim.fluid import fluid_refusal, simulate_fluid
 
 from test_evaluator_optimizer import RANGE, TINY
 
@@ -64,6 +67,33 @@ TOLERANCE = {
     "dctcp_ecn": (0.200, 0.120),
 }
 
+#: Bitwise pins of the fluid integrator: the fluid twin of every banded
+#: scenario above plus the fluid-only ones in ``FLUID_NATIVE`` (one
+#: digest per seed of the batch).  The bands say the model is close to
+#: the packet engine; these say a refactor moved no float.  Regenerate
+#: knowingly with ``PYTHONPATH=src python tests/test_fluid_backend.py``.
+FLUID_GOLDEN = {
+    "calibration": "5e8894adc3a7916767c1194d0d2193bf01b14c5e",
+    "link_speed": "5a59f3abdaa23b0ad4b3515a8f9c4f0cbff19107",
+    "multiplexing": "7be397a75203f5d0fa57591ceff06126d99316d6",
+    "rtt": "1a576f8d5a42518a6d3d98b170135faec6473f10",
+    "structure": "ee1f08330634153b3da399d058e100a92b484a95",
+    "tcp_awareness": "ffca95aa706c37153a88221792ed9518b034e704",
+    "diversity": "9a2cfa32d23746307f03033e26a63bc315cd4b07",
+    "signals": "05e4d7e28da61410cc93b1b3a94a3c004da9b0e5",
+    "api": "54fe3321e76511ab460646406b91862b81093938",
+    "zero_delay": "5dc0ccbf7ebad470ca9ed736e337e55b85e92d21",
+    "sfq_codel": "db8a9ce56b0965aa2f05a20c15df19230ce044f9",
+    "outage_blackout": "6168bc2857ca5d5ed3708aab7bbfbf20bb792ef2",
+    "ecn": "acdf8cd690327ad66a521e98a457d437487ba027",
+    "dctcp_ecn": "5df86ebbb2557ef1de88ff72cbda568be988eae0",
+    "vegas_dumbbell": "874d7d8c2b5b3638f72a14e03b5be55d776ddd36",
+    "mixed_families":
+        "7060fa7aa092284d349bd98b1c62547465d17d0a "
+        "171e264f09517cdf36a342f393bf2dfb682166c8",
+    "outage_drop": "3970cc5ddc8965aea8906b90d2ee57466cc7e7a3",
+}
+
 #: Golden packet scenarios the fluid backend *refuses* (packet-only
 #: dynamics features).  ``test_packet_only_scenarios_refused_by_name``
 #: pins the refusal and its message.
@@ -86,7 +116,9 @@ class TestCrossValidation:
     def test_within_band(self, name):
         tput_tol, delay_tol = TOLERANCE[name]
         packet = run_sim_task(SCENARIOS[name]).run
-        fluid = run_sim_task(_fluid_twin(SCENARIOS[name])).run
+        twin = run_sim_task(_fluid_twin(SCENARIOS[name]))
+        assert result_digest(twin) == FLUID_GOLDEN[name]
+        fluid = twin.run
         assert len(fluid.flows) == len(packet.flows)
         for pf, ff in zip(packet.flows, fluid.flows):
             # Floors keep an idle flow (nothing delivered on either
@@ -131,6 +163,47 @@ def _dumbbell(rate, kinds, buffer_bdp=5.0, queue="droptail"):
         queue=queue)
 
 
+def _native(config, seeds, trees=None):
+    return [SimTask.build(config, trees=trees, seed=seed, duration_s=2.0,
+                          backend="fluid") for seed in seeds]
+
+
+#: Fluid-only pinned scenarios, each one seed batch.  ``vegas_dumbbell``
+#: is the only pin on the Vegas port; ``mixed_families`` puts every
+#: ported family on one ECN drop-tail link, two seeds in one array
+#: program, so a kernel writing outside its own lanes shows up;
+#: ``outage_drop`` is the drop-policy blackout no banded twin reaches.
+FLUID_NATIVE = {
+    "vegas_dumbbell": _native(_dumbbell(15.0, ("vegas",) * 4), (1,)),
+    "mixed_families": _native(
+        dataclasses.replace(
+            _dumbbell(10.0, ("newreno", "aimd", "cubic", "vegas", "dctcp",
+                             "learner"), buffer_bdp=2.0),
+            rtt_ms=50.0, ecn_threshold=20.0),
+        (1, 2), trees={"learner": WhiskerTree(
+            default_action=Action(0.8, 4.0, 0.002))}),
+    "outage_drop": _native(
+        dataclasses.replace(
+            _dumbbell(12.0, ("cubic", "newreno")),
+            dynamics=DynamicsSpec.outage(((0.6, 1.0),), policy="drop")),
+        (1,)),
+}
+
+
+def _native_digest(name):
+    return " ".join(result_digest(result)
+                    for result in run_task_group(FLUID_NATIVE[name]))
+
+
+class TestFluidGolden:
+    def test_every_pin_has_a_scenario(self):
+        assert set(FLUID_GOLDEN) == set(TOLERANCE) | set(FLUID_NATIVE)
+
+    @pytest.mark.parametrize("name", sorted(FLUID_NATIVE))
+    def test_native_scenarios_match_golden(self, name):
+        assert _native_digest(name) == FLUID_GOLDEN[name]
+
+
 class TestFluidProperties:
     def test_throughput_monotone_in_link_rate(self):
         """Same workload, faster bottleneck: never fewer bytes out."""
@@ -164,6 +237,57 @@ class TestFluidProperties:
                 seeds=(1, 2), duration_s=2.0)
         for run in runs:
             assert sum(f.delivered_bytes for f in run.flows) > 0
+
+
+class TestSchemeTable:
+    """``protocols.registry`` holds one table, controller and fluid
+    kernel side by side; fluid support is whatever that table says."""
+
+    def test_refusal_follows_the_table(self):
+        names = registry.available_schemes()
+        ported = [name for name in names
+                  if registry._BUILTIN[name][1] is not None]
+        assert ported and "pcc" in set(names) - set(ported)
+        for name in names:
+            reason = fluid_refusal(_dumbbell(10.0, (name,)))
+            assert (reason is None) == (name in ported), name
+            if name in ported:      # ... and a listed kernel runs, alone
+                run = simulate_fluid(_dumbbell(10.0, (name,) * 2),
+                                     seeds=(1,), duration_s=0.5)[0]
+                assert sum(f.delivered_bytes for f in run.flows) > 0
+            else:                   # the text lists what the table holds
+                assert repr(name) in reason
+                assert all(repr(other) in reason for other in ported)
+
+    def test_rule_table_kind_without_tree_gets_the_real_reason(self):
+        """Not "packet-only": what the packet engine would say too."""
+        config = _dumbbell(10.0, ("learner", "cubic"))
+        with pytest.raises(ValueError, match="requires a whisker tree") \
+                as packet:
+            registry.make_controller("learner")
+        assert fluid_refusal(config) == str(packet.value)
+        with pytest.raises(BackendRefusal,
+                           match="'learner' requires a whisker tree"):
+            SimTask.build(config, backend="fluid")
+        tree = WhiskerTree()
+        assert fluid_refusal(config, tree_kinds=("learner",)) is None
+        SimTask.build(config, trees={"learner": tree}, backend="fluid")
+
+    def test_register_scheme_override_is_refused_by_name(self, monkeypatch):
+        """An override changes what the packet engine runs; it brings no
+        kernel, so the fluid backend must not run the built-in port."""
+        config = _dumbbell(10.0, ("cubic", "cubic"))
+        monkeypatch.setattr(registry, "_EXTRA", {})    # restored after
+        registry.register_scheme("cubic", AimdController)
+        assert isinstance(registry.make_controller("cubic"), AimdController)
+        reason = fluid_refusal(config)
+        assert "'cubic'" in reason and "register_scheme" in reason
+        with pytest.raises(BackendRefusal, match="'cubic' is packet-only"):
+            SimTask.build(config, backend="fluid")
+        with pytest.raises(ValueError, match="'cubic' is packet-only"):
+            simulate_fluid(config, seeds=(1,), duration_s=0.5)
+        monkeypatch.undo()
+        assert fluid_refusal(config) is None
 
 
 def _flows_key(result):
@@ -236,3 +360,11 @@ class TestScreenThenConfirm:
     def test_invalid_screen_rejected(self):
         with pytest.raises(ValueError):
             TreeEvaluator(RANGE, TINY, screen="warp")
+
+
+if __name__ == "__main__":
+    for name in TOLERANCE:
+        twin = run_sim_task(_fluid_twin(SCENARIOS[name]))
+        print(f'    "{name}": "{result_digest(twin)}",')
+    for name in FLUID_NATIVE:
+        print(f'    "{name}": "{_native_digest(name)}",')
