@@ -1,6 +1,6 @@
 """E10 — ablations of the Remy optimizer's design choices.
 
-DESIGN.md calls out two structural decisions worth ablating:
+Two structural decisions of the optimizer are worth ablating:
 
 1. **Whisker splitting** — does growing the rule table (piecewise
    resolution) actually buy objective, versus optimizing a single

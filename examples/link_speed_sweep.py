@@ -14,6 +14,7 @@ from dataclasses import replace
 from repro import Scale
 from repro.experiments import link_speed, run_experiment
 from repro.remy.assets import available_assets
+from repro.remy.catalog import CATALOG
 
 SCALE = Scale(duration_s=12.0, packet_budget=40_000, n_seeds=2,
               sweep_points=7)
@@ -53,12 +54,14 @@ def main():
     print(f"normalized objective, {AXIS_LO:+.0f} (left) to "
           f"{AXIS_HI:+.1f} (right); '|' marks 0 = omniscient-like")
     for scheme in SCHEMES:
-        lo_hi = link_speed.TAO_RANGES.get(scheme)
-        label = f"{scheme} [{lo_hi[0]:g}-{lo_hi[1]:g} Mbps]" \
-            if lo_hi else scheme
+        tao = CATALOG.get(scheme)
+        label = scheme
+        if tao is not None:
+            lo, hi = tao.training.link_speed_mbps
+            label += f" [{lo:g}-{hi:g} Mbps]"
         print(f"\n--- {label} ---")
         for row in result.select(scheme):
-            in_range = "   " if not lo_hi \
+            in_range = "   " if tao is None \
                 else "in " if row["in_training_range"] else "out"
             value = row["normalized_objective"]
             print(f"{row['speed_mbps']:8.1f} Mbps {in_range} "

@@ -18,7 +18,7 @@ bitwise-identical to a serial run (common random numbers are preserved
 by the execution layer's determinism contract).
 
 The paper's Remy runs used a CPU-year per protocol; this script's budget
-is minutes per protocol (see DESIGN.md's substitution table), tunable
+is minutes per protocol (see "Substitutions" in README.md), tunable
 via ``--budget``, ``--generations``, and ``--configs``.
 
 ``--screen fluid --confirm-top K`` screens each candidate batch on the

@@ -11,8 +11,8 @@ The package layers, bottom-up:
   over a shared transport.
 * :mod:`repro.remy` — the Remy protocol synthesizer: whisker trees and
   the optimizer producing Tao protocols.
-* :mod:`repro.core` — the learnability methodology: objectives,
-  scenarios, the omniscient bound, gap metrics.
+* :mod:`repro.core` — the shared value types: objectives, scenarios,
+  the omniscient bound, per-flow results, simulation scale.
 * :mod:`repro.experiments` — one module per paper figure/table.
 
 Quickstart::

@@ -1,12 +1,11 @@
-"""The paper's core contribution: the learnability methodology.
+"""The value types every layer shares.
 
-Objective functions (section 3.2), network scenario models (section
-3.1), the omniscient upper bound (section 1.1), and train-on-A /
-test-on-B gap metrics (section 2.2).
+Objective functions (section 3.2), network configurations and the
+training-scenario distributions they are drawn from (section 3.1), the
+omniscient upper bound (section 1.1), per-flow results, and the
+simulation budget (:class:`~repro.core.scale.Scale`).
 """
 
-from .learnability import (GapReport, LearnabilityCase, objective_gap,
-                           throughput_ratio, within_factor)
 from .objective import (DELAY_FLOOR_S, THROUGHPUT_FLOOR_BPS, Objective,
                         mean_normalized_objective, normalized_objective)
 from .omniscient import (OmniscientFlow, dumbbell_expected_throughput,
@@ -25,6 +24,4 @@ __all__ = [
     "parking_lot_allocation", "omniscient_parking_lot",
     "omniscient_for_config",
     "FlowStats", "RunResult", "EllipsePoint", "summarize_ellipse",
-    "LearnabilityCase", "GapReport", "objective_gap",
-    "throughput_ratio", "within_factor",
 ]

@@ -3,9 +3,9 @@
 A pure-Python packet-level simulator processes a bounded number of
 events per second, so every experiment here runs at a configurable
 *scale*: simulated duration shrinks on fast links to keep per-run packet
-counts bounded (the reproduction's key cost-control, DESIGN.md
-section 2), while floors on duration keep enough RTTs and on/off cycles
-in each run for the statistics to mean something.
+counts bounded (the reproduction's key cost-control, "Substitutions"
+in README.md), while floors on duration keep enough RTTs and on/off
+cycles in each run for the statistics to mean something.
 """
 
 from __future__ import annotations

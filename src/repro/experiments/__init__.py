@@ -1,6 +1,6 @@
 """Reproductions of every experiment in the paper's evaluation.
 
-One module per figure/table; see DESIGN.md section 4 for the index:
+One module per figure/table (docs/EXPERIMENTS.md, "The registry"):
 
 * :mod:`repro.experiments.calibration` — Table 1 / Figure 1
 * :mod:`repro.experiments.link_speed` — Table 2 / Figure 2

@@ -6,8 +6,7 @@ baselines and the omniscient bound.  This module is the single substrate
 every such sweep runs on:
 
 * :class:`Axis` — one named sweep parameter: a value list (with
-  log/linear/integer spacing constructors and a CLI parser), plus an
-  optional per-scheme in-training-range predicate.
+  log/linear/integer spacing constructors and a CLI parser).
 * :class:`ExperimentSpec` — a declarative experiment: schemes, axes,
   a ``build`` hook turning one ``(scheme, grid point)`` into a
   :class:`Cell` (a :class:`~repro.core.scenario.NetworkConfig` plus the
@@ -53,6 +52,7 @@ from ..exec import Executor
 from ..protocols.registry import available_schemes
 from ..remy.action import Action
 from ..remy.assets import load_tree
+from ..remy.catalog import CATALOG
 from ..remy.tree import WhiskerTree
 from ..sim.dynamics import (DynamicsSpec, LinkSchedule,
                             parse_outage_token)
@@ -76,26 +76,16 @@ __all__ = [
 #: every consumer simulates the *same* tree.
 FAKE_TREE = WhiskerTree(default_action=Action(0.8, 4.0, 0.002))
 
-#: ``(scheme, axis value) -> bool`` — is this value inside the scheme's
-#: training range?  Schemes without a range return True.
-InRangeFn = Callable[[str, object], bool]
-
 
 # ----------------------------------------------------------------------
 # Axis
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Axis:
-    """One named sweep parameter and its value grid.
-
-    ``in_range`` (optional) classifies each value per scheme; the engine
-    ANDs the flags of every axis into the row's ``in_training_range``
-    column (the ``*`` markers of the paper's tables).
-    """
+    """One named sweep parameter and its value grid."""
 
     name: str
     values: Tuple[object, ...]
-    in_range: Optional[InRangeFn] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -105,24 +95,21 @@ class Axis:
 
     # -- constructors --------------------------------------------------
     @classmethod
-    def of(cls, name: str, values: Sequence[object],
-           in_range: Optional[InRangeFn] = None) -> "Axis":
+    def of(cls, name: str, values: Sequence[object]) -> "Axis":
         """An axis over explicit values (kept in the given order)."""
-        return cls(name, tuple(values), in_range)
+        return cls(name, tuple(values))
 
     @classmethod
     def linear(cls, name: str, lo: float, hi: float, n: int, *,
-               integer: bool = False,
-               in_range: Optional[InRangeFn] = None) -> "Axis":
+               integer: bool = False) -> "Axis":
         """``n`` linearly spaced values over ``[lo, hi]``, inclusive."""
         cls._check_spacing(name, lo, hi, n)
         raw = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-        return cls(name, cls._spaced(raw, integer), in_range)
+        return cls(name, cls._spaced(raw, integer))
 
     @classmethod
     def log(cls, name: str, lo: float, hi: float, n: int, *,
-            integer: bool = False,
-            in_range: Optional[InRangeFn] = None) -> "Axis":
+            integer: bool = False) -> "Axis":
         """``n`` log-spaced values over ``[lo, hi]``, inclusive.
 
         ``integer=True`` rounds and deduplicates (preserving ascending
@@ -133,7 +120,7 @@ class Axis:
         if lo <= 0:
             raise ValueError(f"axis {name!r}: log spacing needs lo > 0")
         raw = [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
-        return cls(name, cls._spaced(raw, integer), in_range)
+        return cls(name, cls._spaced(raw, integer))
 
     @staticmethod
     def _check_spacing(name: str, lo: float, hi: float, n: int) -> None:
@@ -224,13 +211,7 @@ class Axis:
         for value in extra:
             if value not in values:
                 values.append(value)
-        return Axis(self.name, tuple(sorted(values)), self.in_range)
-
-    def flag(self, scheme: str, value: object) -> bool:
-        """``in_training_range`` of ``value`` for ``scheme``."""
-        if self.in_range is None:
-            return True
-        return bool(self.in_range(scheme, value))
+        return Axis(self.name, tuple(sorted(values)))
 
 
 # ----------------------------------------------------------------------
@@ -316,12 +297,49 @@ class ExperimentSpec:
         return self.table(result)
 
 
+#: ``_ADHOC_KEYS`` target -> the
+#: :class:`~repro.core.scenario.ScenarioRange` field a Tao is trained
+#: over along that axis.
+_TRAINED_DIMS: Dict[str, str] = {"link_mbps": "link_speed_mbps",
+                                 "rtt_ms": "rtt_ms",
+                                 "n_senders": "num_senders"}
+
+
+def _in_training_range(cell: Cell, point: Mapping[str, object]) -> bool:
+    """Was every catalog asset ``cell`` runs trained on each link
+    speed, RTT and sender count ``point`` sweeps?
+
+    :data:`~repro.remy.catalog.CATALOG` is the only statement of a
+    Tao's training range.  Axes match a dimension through the ad-hoc
+    aliases (``speed_mbps`` / ``link_mbps``, ``senders`` /
+    ``n_senders``, ...).  The flag reads the axis value, not the built
+    config, so a ``build`` that perturbs the network keeps its flags.
+    Cells without a catalog asset are in range, and so is any sender
+    count of a range that trains on a menu of sender mixes.
+    """
+    for asset in (cell.trees or {}).values():
+        tao = CATALOG.get(asset)
+        if tao is None:
+            continue
+        for axis, value in point.items():
+            dim = _TRAINED_DIMS.get(_ADHOC_KEYS.get(axis, ""))
+            if dim is None or (dim == "num_senders"
+                               and tao.training.sender_mixes is not None):
+                continue
+            lo, hi = getattr(tao.training, dim)
+            if not lo <= _adhoc_setting(axis, value) <= hi:
+                return False
+    return True
+
+
 def expand(spec: ExperimentSpec, scale: Scale = DEFAULT
            ) -> Tuple[List[Dict[str, object]], List[CellPlan]]:
     """``spec × scale`` -> (grid points, runnable cell plans).
 
     Points iterate in axis-major order; within a point, schemes in spec
-    order; ``build`` returning ``None`` skips a combination.
+    order; ``build`` returning ``None`` skips a combination.  Each plan
+    is flagged by :func:`_in_training_range` (the ``*`` markers of the
+    paper's tables).
     """
     axes = spec.axes_for(scale)
     names = [axis.name for axis in axes]
@@ -333,9 +351,8 @@ def expand(spec: ExperimentSpec, scale: Scale = DEFAULT
             cell = spec.build(scheme, point)
             if cell is None:
                 continue
-            in_range = all(axis.flag(scheme, point[axis.name])
-                           for axis in axes)
-            plans.append(CellPlan(scheme, dict(point), cell, in_range))
+            plans.append(CellPlan(scheme, dict(point), cell,
+                                  _in_training_range(cell, point)))
     return points, plans
 
 

@@ -20,16 +20,10 @@ from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
                   omniscient_objective, pivot_lines, register)
 from .common import Scale
 
-__all__ = ["TAO_RANGES", "SPEC", "mean_in_range", "format_table",
-           "sweep_speeds"]
+__all__ = ["SPEC", "mean_in_range", "format_table", "sweep_speeds"]
 
-#: Design ranges of the four Taos (Table 2a), in Mbps.
-TAO_RANGES: Dict[str, Tuple[float, float]] = {
-    "tao_2x": (22.0, 44.0),
-    "tao_10x": (10.0, 100.0),
-    "tao_100x": (3.2, 320.0),
-    "tao_1000x": (1.0, 1000.0),
-}
+#: The four Taos of Table 2a; their ranges live in the Remy catalog.
+_TAOS = ("tao_2x", "tao_10x", "tao_100x", "tao_1000x")
 
 _BASELINES = ("cubic", "cubic_sfqcodel")
 
@@ -51,22 +45,16 @@ def _config_for(speed: float, kind: str, queue: str) -> NetworkConfig:
         mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0, queue=queue)
 
 
-def _in_range(scheme: str, speed: object) -> bool:
-    bounds = TAO_RANGES.get(scheme)
-    return bounds is None or bounds[0] <= speed <= bounds[1]
-
-
 def _axes(scale: Scale) -> Tuple[Axis, ...]:
     # Explicit values (not Axis.log) to keep the legacy sweep's exact
     # floats — 10**(3k/(n-1)) and lo*(hi/lo)**(k/(n-1)) differ in the
     # last bit, and bitwise-identical configs are the parity contract.
-    return (Axis.of("speed_mbps", sweep_speeds(scale.sweep_points),
-                    in_range=_in_range),)
+    return (Axis.of("speed_mbps", sweep_speeds(scale.sweep_points)),)
 
 
 def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     speed = point["speed_mbps"]
-    if scheme in TAO_RANGES:
+    if scheme in _TAOS:
         return Cell(_config_for(speed, "learner", "droptail"),
                     {"learner": scheme})
     return Cell(_config_for(speed, "cubic", baseline_queue(scheme)),
@@ -97,12 +85,12 @@ def format_table(result: SweepResult) -> str:
 SPEC = ExperimentSpec(
     name="link_speed",
     title="E2 Figure 2 / Table 2 — link-speed ranges",
-    schemes=tuple(TAO_RANGES) + _BASELINES,
+    schemes=_TAOS + _BASELINES,
     axes=_axes,
     build=_build,
     metrics=objective_metrics,
     reference=_reference,
-    assets=tuple(TAO_RANGES),
+    assets=_TAOS,
     table=format_table,
 )
 

@@ -22,17 +22,11 @@ from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
                   omniscient_objective, pivot_lines, register)
 from .common import Scale
 
-__all__ = ["TAO_RANGES", "BUFFER_CASES", "SPEC", "format_table",
-           "sweep_senders"]
+__all__ = ["BUFFER_CASES", "SPEC", "format_table", "sweep_senders"]
 
-#: Design ranges (Table 3a): name -> max trained sender count.
-TAO_RANGES: Dict[str, int] = {
-    "tao_mux_1_2": 2,
-    "tao_mux_1_10": 10,
-    "tao_mux_1_20": 20,
-    "tao_mux_1_50": 50,
-    "tao_mux_1_100": 100,
-}
+#: The five Taos of Table 3a; their ranges live in the Remy catalog.
+_TAOS = ("tao_mux_1_2", "tao_mux_1_10", "tao_mux_1_20", "tao_mux_1_50",
+         "tao_mux_1_100")
 
 #: Buffer regimes of Table 3b / Figure 3: 5 BDP and "no packet drops".
 BUFFER_CASES: Tuple[Tuple[str, Optional[float]], ...] = (
@@ -48,14 +42,8 @@ def sweep_senders(points: int) -> List[int]:
     return list(_senders_axis(points).values)
 
 
-def _in_range(scheme: str, n: object) -> bool:
-    top = TAO_RANGES.get(scheme)
-    return top is None or n <= top
-
-
 def _senders_axis(points: int) -> Axis:
-    return Axis.log("n_senders", 1, 100, points, integer=True,
-                    in_range=_in_range)
+    return Axis.log("n_senders", 1, 100, points, integer=True)
 
 
 def _config_for(n: int, kinds_base: str, buffer_bdp: Optional[float],
@@ -77,7 +65,7 @@ def _axes(scale: Scale) -> Tuple[Axis, ...]:
 def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     n = point["n_senders"]
     buffer_bdp = dict(BUFFER_CASES)[point["buffer_case"]]
-    if scheme in TAO_RANGES:
+    if scheme in _TAOS:
         return Cell(_config_for(n, "learner", buffer_bdp, "droptail"),
                     {"learner": scheme})
     return Cell(_config_for(n, "cubic", buffer_bdp,
@@ -103,12 +91,12 @@ def format_table(result: SweepResult) -> str:
 SPEC = ExperimentSpec(
     name="multiplexing",
     title="E3 Figure 3 / Table 3 — multiplexing",
-    schemes=tuple(TAO_RANGES) + _BASELINES,
+    schemes=_TAOS + _BASELINES,
     axes=_axes,
     build=_build,
     metrics=objective_metrics,
     reference=_reference,
-    assets=tuple(TAO_RANGES),
+    assets=_TAOS,
     table=format_table,
 )
 

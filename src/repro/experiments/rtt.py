@@ -21,15 +21,11 @@ from .api import (PIVOT_FOOTNOTE, Axis, Cell, Experiment, ExperimentSpec,
                   omniscient_objective, pivot_lines, register)
 from .common import Scale
 
-__all__ = ["TAO_RANGES", "SPEC", "format_table", "sweep_rtts"]
+__all__ = ["SPEC", "format_table", "sweep_rtts"]
 
-#: Design ranges (Table 4a), in milliseconds.
-TAO_RANGES: Dict[str, Tuple[float, float]] = {
-    "tao_rtt_150": (150.0, 150.0),
-    "tao_rtt_145_155": (145.0, 155.0),
-    "tao_rtt_140_160": (140.0, 160.0),
-    "tao_rtt_50_250": (50.0, 250.0),
-}
+#: The four Taos of Table 4a; their ranges live in the Remy catalog.
+_TAOS = ("tao_rtt_150", "tao_rtt_145_155", "tao_rtt_140_160",
+         "tao_rtt_50_250")
 
 _BASELINES = ("cubic", "cubic_sfqcodel")
 _LINK_MBPS = 33.0
@@ -48,8 +44,7 @@ def sweep_rtts(points: int) -> List[float]:
 
 
 def _rtt_axis(points: int) -> Axis:
-    return Axis.linear("rtt_ms", 1.0, 300.0, points,
-                       in_range=_in_range).ensure(150.0)
+    return Axis.linear("rtt_ms", 1.0, 300.0, points).ensure(150.0)
 
 
 def _config_for(rtt_ms: float, kind: str, queue: str) -> NetworkConfig:
@@ -59,18 +54,13 @@ def _config_for(rtt_ms: float, kind: str, queue: str) -> NetworkConfig:
         mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0, queue=queue)
 
 
-def _in_range(scheme: str, rtt_ms: object) -> bool:
-    bounds = TAO_RANGES.get(scheme)
-    return bounds is None or bounds[0] <= rtt_ms <= bounds[1]
-
-
 def _axes(scale: Scale) -> Tuple[Axis, ...]:
     return (_rtt_axis(scale.sweep_points),)
 
 
 def _build(scheme: str, point: Mapping[str, object]) -> Cell:
     rtt_ms = point["rtt_ms"]
-    if scheme in TAO_RANGES:
+    if scheme in _TAOS:
         return Cell(_config_for(rtt_ms, "learner", "droptail"),
                     {"learner": scheme})
     return Cell(_config_for(rtt_ms, "cubic", baseline_queue(scheme)),
@@ -93,12 +83,12 @@ def format_table(result: SweepResult) -> str:
 SPEC = ExperimentSpec(
     name="rtt",
     title="E4 Figure 4 / Table 4 — propagation delay",
-    schemes=tuple(TAO_RANGES) + _BASELINES,
+    schemes=_TAOS + _BASELINES,
     axes=_axes,
     build=_build,
     metrics=objective_metrics,
     reference=_reference,
-    assets=tuple(TAO_RANGES),
+    assets=_TAOS,
     table=format_table,
 )
 

@@ -12,8 +12,8 @@ distribution?*  This module answers it, with
 * batch submission through :mod:`repro.exec` — training is
   embarrassingly parallel and pure Python is slow, so handing the
   (tree, config, seed) grid to a process-pool executor is what makes
-  the reproduction practical (DESIGN.md section 2).  Serial and pooled
-  execution produce bitwise-identical scores.
+  the reproduction practical ("Substitutions" in README.md).  Serial
+  and pooled execution produce bitwise-identical scores.
 
 Caching happens at the task level: the evaluator memoizes each task's
 *derived* outputs (objective score plus usage stats — a few floats, not
@@ -36,7 +36,7 @@ from ..exec import Executor, SerialExecutor, SimTask, StoreExecutor
 from .tree import WhiskerTree
 
 __all__ = ["EvalSettings", "EvalResult", "TreeEvaluator",
-           "run_training_task", "score_training_run"]
+           "score_training_run"]
 
 
 @dataclass(frozen=True)
@@ -77,27 +77,6 @@ def score_training_run(result: "RunResult") -> float:
             else flow.base_delay_s
         score += objective.score(flow.throughput_bps, delay)
     return score
-
-
-def run_training_task(tree_json: str, peer_json: Optional[str],
-                      config_dict: dict, seed: int, duration: float,
-                      record_usage: bool) -> Tuple[float, list, list]:
-    """One simulation of one tree on one config (kept for callers of
-    the pre-``repro.exec`` API; now a thin shim over
-    :func:`repro.exec.run_sim_task`).
-
-    Returns ``(objective_sum, usage_counts, usage_sums)``; usage lists
-    are empty when ``record_usage`` is off.
-    """
-    from ..exec import run_sim_task
-
-    trees = {"learner": tree_json}
-    if peer_json is not None:
-        trees["peer"] = peer_json
-    task = SimTask.build(config_dict, trees=trees, seed=seed,
-                         duration_s=duration, record_usage=record_usage)
-    out = run_sim_task(task)
-    return score_training_run(out.run), out.usage_counts, out.usage_sums
 
 
 class TreeEvaluator:

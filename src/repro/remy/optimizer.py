@@ -13,8 +13,8 @@ alternates two moves on the whisker tree:
    binary split per active signal dimension) and start a new generation.
 
 The original tool burned a CPU-year per protocol; this reproduction runs
-the same loop at a reduced budget (see DESIGN.md), scaling with the
-``EvalSettings`` and ``OptimizerSettings`` knobs.
+the same loop at a reduced budget (see "Substitutions" in README.md),
+scaling with the ``EvalSettings`` and ``OptimizerSettings`` knobs.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 This subpackage is the substrate that replaces ns-2 (the paper's testing
 simulator) and Remy's internal simulator (the training simulator).  See
-DESIGN.md for the substitution rationale.
+"Substitutions" in the top-level README.md for the rationale.
 
 Public surface:
 

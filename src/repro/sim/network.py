@@ -6,7 +6,7 @@ transmits, the network stamps the packet with the precomputed list of
 links for that flow and direction, and each link delivery advances the
 packet one hop.  This keeps per-hop forwarding O(1) with no routing-table
 lookups — important because the pure-Python event loop is the cost
-center of this reproduction (see DESIGN.md section 2).
+center of this reproduction (see "Substitutions" in README.md).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ is a dumbbell (section 3.1): senders attach to gateway ``A``, receivers
 to gateway ``B``, and the single ``A -> B`` link is the bottleneck whose
 buffer size and queue discipline the experiments vary.
 
-Modeling choices (documented per DESIGN.md section 2):
+Modeling choices (see "Substitutions" in README.md):
 
 * Access links are infinitely fast with zero delay — the senders
   effectively sit at the bottleneck queue, as in the paper's Remy

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.scale import Scale
 from repro.core.scenario import ScenarioRange
+from repro.exec import SimTask, run_sim_task
+from repro.remy import optimizer as optimizer_module
 from repro.remy.action import Action
-from repro.remy.evaluator import EvalSettings, TreeEvaluator, run_training_task
+from repro.remy.evaluator import (EvalSettings, TreeEvaluator,
+                                  score_training_run)
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
 from repro.remy.tree import WhiskerTree
 
@@ -17,23 +20,30 @@ RANGE = ScenarioRange(link_speed_mbps=(8.0, 16.0), rtt_ms=(100.0, 100.0),
                       num_senders=(1, 2), buffer_bdp=5.0)
 
 
+def score_one_task(config, record_usage, **trees):
+    """One training simulation: ``(score, usage_counts, usage_sums)``."""
+    task = SimTask.build(config, trees=trees, seed=1, duration_s=4.0,
+                         record_usage=record_usage)
+    out = run_sim_task(task)
+    return score_training_run(out.run), out.usage_counts, out.usage_sums
+
+
 class TestRunTrainingTask:
     def test_returns_finite_score(self):
         tree = WhiskerTree()
         config = RANGE.sample_many(1, seed=1)[0]
-        score, counts, sums = run_training_task(
-            tree.to_json(), None, config.to_dict(), seed=1,
-            duration=4.0, record_usage=True)
+        score, counts, sums = score_one_task(
+            config, True, learner=tree.to_json())
         assert score == score   # not NaN
         assert len(counts) == len(tree)
+        assert len(sums) == len(tree)
         assert sum(counts) > 0
 
     def test_usage_skipped_when_disabled(self):
         tree = WhiskerTree()
         config = RANGE.sample_many(1, seed=1)[0]
-        _, counts, sums = run_training_task(
-            tree.to_json(), None, config.to_dict(), seed=1,
-            duration=4.0, record_usage=False)
+        _, counts, sums = score_one_task(
+            config, False, learner=tree.to_json())
         assert counts == [] and sums == []
 
     def test_peer_tree_accepted(self):
@@ -43,10 +53,24 @@ class TestRunTrainingTask:
             link_speed_mbps=(8.0, 8.0), rtt_ms=(100.0, 100.0),
             sender_mixes=(("learner", "peer"),), buffer_bdp=5.0)
         config = mixed.sample_many(1, seed=1)[0]
-        score, _, _ = run_training_task(
-            tree.to_json(), peer.to_json(), config.to_dict(), seed=1,
-            duration=4.0, record_usage=False)
+        score, _, _ = score_one_task(
+            config, False, learner=tree.to_json(), peer=peer.to_json())
         assert score == score
+
+
+class TickingClock:
+    """Stands in for the ``time`` module inside the optimizer: every
+    ``monotonic()`` reading is one second later than the last, and is
+    logged next to what ``probe()`` says at that moment."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.readings = []
+
+    def monotonic(self):
+        now = 1000.0 + len(self.readings)
+        self.readings.append((now, self.probe()))
+        return now
 
 
 class TestTreeEvaluator:
@@ -109,16 +133,25 @@ class TestOptimizer:
         tree, log = optimizer.train()
         assert log.tree_sizes[-1] > log.tree_sizes[0]
 
-    def test_time_budget_respected(self):
+    def test_time_budget_respected(self, monkeypatch):
         optimizer = RemyOptimizer(
             RANGE, TINY,
-            OptimizerSettings(generations=50, max_action_steps=50,
-                              time_budget_s=3.0))
-        import time
-        started = time.monotonic()
-        optimizer.train()
-        # Budget plus one generation's slack, not 50 generations.
-        assert time.monotonic() - started < 60.0
+            OptimizerSettings(generations=50, max_action_steps=1,
+                              neighbor_scales=(1.0,),
+                              time_budget_s=2.0))
+        clock = TickingClock(lambda: optimizer.evaluator.evaluations)
+        monkeypatch.setattr(optimizer_module, "time", clock)
+        _, log = optimizer.train()
+        # One reading at the start, one per budget check (after each
+        # refined whisker and each generation), one for the log: the
+        # check at 1003 s is the first past the 2 s budget and ends
+        # training in generation 1 of 50, with no simulation after it.
+        started = clock.readings[0][0]
+        late = [evaluations for now, evaluations in clock.readings
+                if now - started > 2.0]
+        assert len(late) >= 2 and len(set(late)) == 1
+        assert len(log.scores) == 2
+        assert log.wall_time_s == len(clock.readings) - 1
 
     def test_mask_restricts_split_dims(self):
         optimizer = RemyOptimizer(

@@ -1,12 +1,13 @@
 """The declarative sweep API: axes, specs, engine, registry, ad-hoc.
 
 Property tests pin :class:`Axis` expansion (spacing, endpoints,
-integer dedup, in-range flags); the engine tests pin grid order and
-``SweepResult`` renderers; the ad-hoc tests check the grid-composition
-path ``scripts/sweep.py`` drives.  Byte-level parity of the ported
+integer dedup); the engine tests pin grid order, the catalog-derived
+in-range flags and ``SweepResult`` renderers; the ad-hoc tests check
+the grid-composition path ``scripts/sweep.py`` drives.  Byte-level parity of the ported
 experiment modules lives in ``tests/test_table_parity.py``.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scale import Scale
+from repro.core.scale import QUICK, Scale
 from repro.experiments import link_speed, multiplexing, rtt
 from repro.experiments.api import (FAKE_TREE, AdhocBase, Axis, Cell,
                                    ExperimentSpec, SweepResult,
                                    adhoc_spec, expand, experiments,
                                    get_experiment, run_experiment)
 from repro.experiments.common import run_seeds
+from repro.remy.catalog import CATALOG
 
 MICRO = Scale(duration_s=3.0, packet_budget=4_000, min_duration_s=2.0,
               n_seeds=1, sweep_points=2)
@@ -152,37 +154,114 @@ class TestAxis:
 class TestExpand:
     @staticmethod
     def _spec(schemes=("a", "b"), skip=None):
+        """Scheme ``a`` runs the exactly-150 ms Tao, ``b`` no asset."""
         def build(scheme, point):
-            if skip and (scheme, point["x"]) in skip:
+            if skip and (scheme, point["rtt_ms"]) in skip:
                 return None
             from repro.core.scenario import NetworkConfig
+            if scheme == "a":
+                return Cell(NetworkConfig(), {"learner": "tao_rtt_150"})
             return Cell(NetworkConfig(sender_kinds=(("cubic",) * 2)))
 
         return ExperimentSpec(
             name="t", schemes=schemes,
-            axes=(Axis.of("x", (1, 2),
-                          in_range=lambda s, v: not (s == "a"
-                                                     and v == 2)),
+            axes=(Axis.of("rtt_ms", (150.0, 300.0)),
                   Axis.of("y", ("p", "q"))),
             build=build,
             metrics=lambda s, p, c, r: {"m": 0.0})
 
     def test_axis_major_order_schemes_inner(self):
         points, plans = expand(self._spec(), MICRO)
-        assert [(p["x"], p["y"]) for p in points] == \
-            [(1, "p"), (1, "q"), (2, "p"), (2, "q")]
-        assert [(pl.scheme, pl.point["x"], pl.point["y"])
+        assert [(p["rtt_ms"], p["y"]) for p in points] == \
+            [(150.0, "p"), (150.0, "q"), (300.0, "p"), (300.0, "q")]
+        assert [(pl.scheme, pl.point["rtt_ms"], pl.point["y"])
                 for pl in plans[:4]] == \
-            [("a", 1, "p"), ("b", 1, "p"), ("a", 1, "q"), ("b", 1, "q")]
+            [("a", 150.0, "p"), ("b", 150.0, "p"),
+             ("a", 150.0, "q"), ("b", 150.0, "q")]
 
     def test_in_range_flags_and_skips(self):
-        _, plans = expand(self._spec(skip={("b", 1)}), MICRO)
+        _, plans = expand(self._spec(skip={("b", 150.0)}), MICRO)
         assert len(plans) == 6   # 8 combos minus two skipped
-        flags = {(pl.scheme, pl.point["x"]): pl.in_range
+        flags = {(pl.scheme, pl.point["rtt_ms"]): pl.in_range
                  for pl in plans}
-        assert flags[("a", 2)] is False
-        assert flags[("a", 1)] is True
-        assert flags[("b", 2)] is True
+        assert flags[("a", 300.0)] is False
+        assert flags[("a", 150.0)] is True
+        assert flags[("b", 300.0)] is True
+
+
+def _flags(axes, schemes=("tao_10x",)):
+    """``(scheme, *point values) -> in_range`` of an ad-hoc grid."""
+    _, plans = expand(adhoc_spec(axes, schemes), MICRO)
+    return {(plan.scheme, *plan.point.values()): plan.in_range
+            for plan in plans}
+
+
+class TestTrainingRange:
+    """In-range flags read :data:`~repro.remy.catalog.CATALOG`; the
+    ``tao_10x`` cases are the paper's Table 2a row (10-100 Mbps at
+    exactly 150 ms, two senders)."""
+
+    @pytest.mark.parametrize("name", ["link_mbps", "speed_mbps"])
+    def test_link_speed_axis_and_alias(self, name):
+        flags = _flags([Axis.of(name, (5.0, 10.0, 32.0, 100.0, 200.0))])
+        assert flags == {("tao_10x", 5.0): False,
+                         ("tao_10x", 10.0): True,
+                         ("tao_10x", 32.0): True,
+                         ("tao_10x", 100.0): True,
+                         ("tao_10x", 200.0): False}
+
+    def test_in_training_range(self):
+        flags = _flags([Axis.of("link_mbps", (32.0, 500.0)),
+                        Axis.of("rtt_ms", (150.0, 300.0))])
+        assert flags == {("tao_10x", 32.0, 150.0): True,
+                         ("tao_10x", 32.0, 300.0): False,
+                         ("tao_10x", 500.0, 150.0): False,
+                         ("tao_10x", 500.0, 300.0): False}
+
+    def test_boundary_is_inside(self):
+        flags = _flags([Axis.of("rtt_ms", (144.9, 145.0, 155.0, 155.1))],
+                       schemes=("tao_rtt_145_155",))
+        assert list(flags.values()) == \
+            [False, True, True, False]
+        assert _flags([Axis.of("link_mbps", (10.0, 100.0))]) == \
+            {("tao_10x", 10.0): True, ("tao_10x", 100.0): True}
+
+    def test_sender_count_check(self):
+        for name in ("senders", "n_senders"):
+            assert _flags([Axis.of(name, (2, 10))]) == \
+                {("tao_10x", 2): True, ("tao_10x", 10): False}
+
+    def test_sender_mixes_range_skips_sender_count(self):
+        assert CATALOG["tao_tcp_naive"].training.sender_mixes is not None
+        flags = _flags([Axis.of("senders", (1, 2, 10))],
+                       schemes=("tao_tcp_naive",))
+        assert all(flags.values())
+
+    def test_unlisted_asset_and_registry_schemes_stay_in_range(self):
+        flags = _flags([Axis.of("link_mbps", (1.0, 1000.0)),
+                        Axis.of("senders", (1, 100))],
+                       schemes=("tao", "cubic"))
+        assert "tao" not in CATALOG
+        assert len(flags) == 8 and all(flags.values())
+
+    def test_reference_rows_stay_in_range(self):
+        spec = adhoc_spec([Axis.of("link_mbps", (5.0,))], ["tao_10x"])
+        result = run_experiment(spec, scale=MICRO,
+                                trees={"tao_10x": FAKE_TREE})
+        assert result.one("tao_10x")["in_training_range"] is False
+        assert result.one("omniscient")["in_training_range"] is True
+
+    def test_flags_follow_a_changed_catalog_range(self, monkeypatch):
+        tao = CATALOG["tao_2x"]
+        monkeypatch.setitem(CATALOG, "tao_2x", dataclasses.replace(
+            tao, training=dataclasses.replace(
+                tao.training, link_speed_mbps=(1.0, 10.0))))
+        _, plans = expand(link_speed.SPEC, QUICK)
+        flags = [(plan.point["speed_mbps"], plan.in_range)
+                 for plan in plans if plan.scheme == "tao_2x"]
+        assert len(flags) == QUICK.sweep_points
+        assert flags == [(speed, speed <= 10.0) for speed, _ in flags]
+        assert any(in_range for _, in_range in flags)
 
 
 class TestSweepResult:
